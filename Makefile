@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-core bench-broker bench-dist bench-overlay bench-scaling fuzz experiments examples telemetry-smoke trace-analyze clean
+.PHONY: all build vet lint test race cover bench bench-core bench-broker bench-dist bench-overlay perfbench-selftest bench-scaling fuzz experiments examples telemetry-smoke trace-analyze clean
 
 all: build vet lint test
 
@@ -62,10 +62,17 @@ bench-dist:
 # Overlay re-optimization benchmarks recorded as JSON: tree repair
 # (kill + restore cycle, allocation-bounded), the full warm path per
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
-# baseline it is judged against, all on the 10k-node pod topology.
+# baseline it is judged against, all on the 10k-node pod topology, plus
+# one restore on X11's 10k-node random overlay. -count=5 keeps five
+# samples per benchmark so the record shows run-to-run spread.
 bench-overlay:
-	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve' -benchmem ./internal/overlay/ \
+	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|RouterRestoreX11' -benchmem -count=5 \
+		./internal/overlay/ ./internal/experiments/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json
+
+# The closed-loop benchmark's own tests (perfbench is a separate module).
+perfbench-selftest:
+	cd perfbench && $(GO) test .
 
 # Scaling-regression gate: workers=8 must beat workers=1 by >= 1.5x on
 # the metro-small benchmark (skips loudly on hosts with < 4 CPUs).

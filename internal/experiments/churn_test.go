@@ -23,15 +23,16 @@ func TestChurnExperimentLink(t *testing.T) {
 		if e.Kind != wantKind {
 			t.Errorf("event %d kind = %q, want %q", k, e.Kind, wantKind)
 		}
-		if e.Affected <= 0 || e.Affected > res.Config.Flows {
-			t.Errorf("event %d affected %d flows of %d", k, e.Affected, res.Config.Flows)
+		// A failure re-routes the flows its loaded element carried; a
+		// restore re-traces only the flows it can reroute, possibly none.
+		if e.Rerouted < 0 || e.Rerouted > e.Affected || e.Affected > res.Config.Flows {
+			t.Errorf("event %d rerouted %d of %d affected flows of %d", k, e.Rerouted, e.Affected, res.Config.Flows)
+		}
+		if wantKind == "link-fail" && e.Affected <= 0 {
+			t.Errorf("event %d failed a loaded link but affected no flow", k)
 		}
 		if !e.WarmConverged {
 			t.Errorf("event %d warm re-solve did not converge within %d iterations", k, res.Config.FailEvery)
-		}
-		// Failures touch only the indexed flows; restores sweep all.
-		if strings.HasSuffix(e.Kind, "-restore") && e.Affected != res.Config.Flows {
-			t.Errorf("event %d restore affected %d, want full sweep %d", k, e.Affected, res.Config.Flows)
 		}
 	}
 	if res.Speedup <= 0 {

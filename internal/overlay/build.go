@@ -53,10 +53,13 @@ func checkFlowSpecs(flows []FlowSpec) error {
 }
 
 // routeTrees routes every flow over t (one multi-target BFS per flow,
-// shared scratch) and returns the dissemination trees.
-func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, error) {
+// shared scratch) and returns the dissemination trees. When depth is
+// non-nil it receives each class's hop depth in its flow's tree, indexed
+// by flow-major class ID.
+func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec, depth []int32) ([]Tree, error) {
 	trees := make([]Tree, len(flows))
 	var subs []model.NodeID
+	j := 0
 	for fi, fs := range flows {
 		subs = subs[:0]
 		for _, cs := range fs.Classes {
@@ -67,6 +70,12 @@ func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, error) {
 			return nil, fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
 		}
 		trees[fi] = tree
+		if depth != nil {
+			for _, b := range subs {
+				depth[j] = sc.depth[b]
+				j++
+			}
+		}
 	}
 	return trees, nil
 }
@@ -85,7 +94,7 @@ func Build(t *Topology, nodeCapacity float64, flows []FlowSpec) (*model.Problem,
 	if err := checkFlowSpecs(flows); err != nil {
 		return nil, err
 	}
-	trees, err := routeTrees(t, NewScratch(t), flows)
+	trees, err := routeTrees(t, NewScratch(t), flows, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -203,6 +203,15 @@ func (t *Topology) linkUsable(li int32) bool {
 	return t.deadNode == nil || !t.deadNode[t.links[li].To]
 }
 
+// tailUsable mirrors linkUsable for reverse traversals, where the To node
+// is the alive one and From must be checked.
+func (t *Topology) tailUsable(li int32) bool {
+	if t.deadLink != nil && t.deadLink[li] {
+		return false
+	}
+	return t.deadNode == nil || !t.deadNode[t.links[li].From]
+}
+
 // Line builds a path topology 0-1-...-n-1 with bidirectional links.
 func Line(n int, capacity float64) *Topology {
 	t := NewTopology(n)
@@ -238,10 +247,12 @@ func Star(n int, capacity float64) *Topology {
 // repeated traces after one failure) pay for a single traversal. A Scratch
 // belongs to one goroutine.
 type Scratch struct {
-	// prev[b] is the link that first reached b in the cached BFS, valid
-	// when seen[b] == epoch; the BFS tree is a function of (source, alive
-	// topology) only, so every flow from the same source shares it.
+	// prev[b] is the link that first reached b in the cached BFS and
+	// depth[b] its hop distance from the source, both valid when seen[b]
+	// == epoch; the BFS tree is a function of (source, alive topology)
+	// only, so every flow from the same source shares it.
 	prev  []int32
+	depth []int32
 	seen  []int32
 	queue []int32
 	epoch int32
@@ -271,6 +282,7 @@ func NewScratch(t *Topology) *Scratch {
 func (sc *Scratch) ensure(t *Topology) {
 	if len(sc.seen) < t.nodeCount {
 		sc.prev = make([]int32, t.nodeCount)
+		sc.depth = make([]int32, t.nodeCount)
 		sc.seen = make([]int32, t.nodeCount)
 		sc.nodeSeen = make([]int32, t.nodeCount)
 		sc.queue = make([]int32, 0, t.nodeCount)
@@ -302,6 +314,7 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 	sc.queue = append(sc.queue, int32(src))
 	sc.seen[src] = e
 	sc.prev[src] = -1
+	sc.depth[src] = 0
 	for head := 0; head < len(sc.queue); head++ {
 		b := sc.queue[head]
 		for _, li := range t.out[b] {
@@ -311,6 +324,7 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 			}
 			sc.seen[to] = e
 			sc.prev[to] = li
+			sc.depth[to] = sc.depth[b] + 1
 			sc.queue = append(sc.queue, int32(to))
 		}
 	}
@@ -319,6 +333,14 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 
 // reached reports whether the cached BFS reached b.
 func (sc *Scratch) reached(b model.NodeID) bool { return sc.seen[b] == sc.epoch }
+
+// hops returns b's hop distance in the cached BFS, or -1 when unreached.
+func (sc *Scratch) hops(b model.NodeID) int32 {
+	if !sc.reached(b) {
+		return -1
+	}
+	return sc.depth[b]
+}
 
 // ShortestPath returns the link indices of a minimum-hop path from src to
 // dst (BFS over the alive topology). An empty slice is returned when

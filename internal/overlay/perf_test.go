@@ -164,8 +164,9 @@ func TestWarmResolveSpeedup10k(t *testing.T) {
 
 // BenchmarkTreeRepair measures one link kill + restore cycle on the
 // 10k-node pod topology: the kill re-routes the single affected flow, the
-// restore re-traces every flow against the healed topology. Allocations
-// stay bounded by the damage (changed trees), not the topology.
+// restore re-traces only the flows the healed link can reroute (here the
+// same one). Allocations stay bounded by the damage (changed trees), not
+// the topology.
 func BenchmarkTreeRepair(b *testing.B) {
 	tp, caps, flows := podTopology(100, 100)
 	r, err := NewRouter(tp, caps, flows)

@@ -16,15 +16,17 @@ type RepairStats struct {
 	// Element is the failed/restored link index or node ID.
 	Element int
 	// Affected counts flows whose trees were recomputed: for failures the
-	// flows indexed to the failed element, for restores every flow (a
-	// restored element can shorten paths anywhere).
+	// flows indexed to the failed element, for restores the flows with a
+	// subscriber the healed element reaches by a path no longer than its
+	// current tree depth (zero when the restore reconnects nothing).
 	Affected int
 	// Rerouted counts trees that actually changed; Unchanged counts trees
 	// recomputed but identical (their slices were kept verbatim).
 	Rerouted  int
 	Unchanged int
 	// BFSRuns counts breadth-first traversals performed; flows sharing a
-	// source share one run.
+	// source share one run. A restore adds the two distance runs that
+	// pick its flows.
 	BFSRuns int
 }
 
@@ -87,17 +89,17 @@ func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 	return st, nil
 }
 
-// RestoreLink brings link li back and re-optimizes routing globally: a
-// restored link can shorten paths for flows far from it, so every flow is
-// re-traced against the canonical BFS of the restored topology (one BFS
-// per distinct source). Trees that come back identical keep their old
-// slices and contribute nothing to the delta.
+// RestoreLink brings link li back and re-traces only the flows the healed
+// link can reroute: those with a subscriber the link now reaches by a
+// path no longer than its current tree depth (heal.go decides this with
+// two distance BFS runs). Every other tree is provably unchanged and
+// keeps its slices; re-traced trees that come back identical do too.
 func (r *Router) RestoreLink(li int) (RepairStats, error) {
 	if err := r.topo.RestoreLink(li); err != nil {
 		return RepairStats{}, err
 	}
 	st := RepairStats{Kind: "link-restore", Element: li}
-	if err := r.retraceAll(&st); err != nil {
+	if err := r.rerouteAffected(&st, r.healedLinkFlows(&st, li)); err != nil {
 		if rerr := r.topo.RemoveLink(li); rerr != nil {
 			panic(fmt.Sprintf("overlay: rollback of link %d restore failed: %v", li, rerr))
 		}
@@ -106,13 +108,14 @@ func (r *Router) RestoreLink(li int) (RepairStats, error) {
 	return st, nil
 }
 
-// RestoreNode brings node b back; semantics match RestoreLink.
+// RestoreNode brings node b back; semantics match RestoreLink, with the
+// node's alive incident links healing together.
 func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
 	if err := r.topo.RestoreNode(b); err != nil {
 		return RepairStats{}, err
 	}
 	st := RepairStats{Kind: "node-restore", Element: int(b)}
-	if err := r.retraceAll(&st); err != nil {
+	if err := r.rerouteAffected(&st, r.healedNodeFlows(&st, b)); err != nil {
 		if rerr := r.topo.RemoveNode(b); rerr != nil {
 			panic(fmt.Sprintf("overlay: rollback of node %d restore failed: %v", b, rerr))
 		}
@@ -121,10 +124,12 @@ func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
 	return st, nil
 }
 
-// pendingTree is one computed-but-uncommitted reroute.
+// pendingTree is one computed-but-uncommitted reroute. depth indexes the
+// flow's per-class hop depths in Router.pendDepth.
 type pendingTree struct {
-	flow model.FlowID
-	tree Tree
+	flow  model.FlowID
+	tree  Tree
+	depth int
 }
 
 // rerouteAffected recomputes the trees of the given flows over the mutated
@@ -143,6 +148,7 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 	st.Affected = len(order)
 
 	pending := make([]pendingTree, 0, len(order))
+	r.pendDepth = r.pendDepth[:0]
 	var subs []model.NodeID
 	for _, fi := range order {
 		fs := &r.flows[fi]
@@ -154,27 +160,23 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 		if err != nil {
 			return fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
 		}
-		if changed {
-			pending = append(pending, pendingTree{flow: model.FlowID(fi), tree: tree})
-		} else {
+		if !changed {
+			// Same paths, same depths.
 			st.Unchanged++
+			continue
+		}
+		pending = append(pending, pendingTree{flow: model.FlowID(fi), tree: tree, depth: len(r.pendDepth)})
+		for _, cs := range fs.Classes {
+			r.pendDepth = append(r.pendDepth, r.sc.hops(cs.Node))
 		}
 	}
 	for _, pt := range pending {
 		r.commitTree(pt.flow, pt.tree)
+		off := r.classOff[pt.flow]
+		copy(r.depth[off:off+len(r.flows[pt.flow].Classes)], r.pendDepth[pt.depth:])
 	}
 	st.Rerouted = len(pending)
 	return nil
-}
-
-// retraceAll recomputes every flow's tree (restores widen connectivity
-// anywhere), keeping old slices for trees that come back identical.
-func (r *Router) retraceAll(st *RepairStats) error {
-	all := make([]int32, len(r.flows))
-	for fi := range all {
-		all[fi] = int32(fi)
-	}
-	return r.rerouteAffected(st, all)
 }
 
 // bfsCached reports whether the scratch already holds the BFS tree for

@@ -44,6 +44,13 @@ type Router struct {
 	// pruned[j] marks classes zeroed by PruneDeadSubscribers; their nodes
 	// no longer anchor the flow's tree.
 	pruned []bool
+	// depth[j] is class j's hop depth in its flow's current tree, which
+	// is its BFS distance from the source (meaningful while unpruned).
+	depth []int32
+	// pendDepth buffers rerouteAffected's uncommitted per-class depths.
+	pendDepth []int32
+	// heal is the restore path's scratch (heal.go), built on first use.
+	heal healScratch
 
 	// Accumulated routing delta since the last TakeDelta.
 	flowMark   []bool
@@ -70,12 +77,6 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 	if err := checkFlowSpecs(flows); err != nil {
 		return nil, err
 	}
-	sc := NewScratch(t)
-	trees, err := routeTrees(t, sc, flows)
-	if err != nil {
-		return nil, err
-	}
-
 	specs := make([]FlowSpec, len(flows))
 	classOff := make([]int, len(flows))
 	nClasses := 0
@@ -84,6 +85,12 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		specs[fi].Classes = slices.Clone(fs.Classes)
 		classOff[fi] = nClasses
 		nClasses += len(fs.Classes)
+	}
+	sc := NewScratch(t)
+	depth := make([]int32, nClasses)
+	trees, err := routeTrees(t, sc, flows, depth)
+	if err != nil {
+		return nil, err
 	}
 
 	p := assembleProblem(t, nodeCaps, flows, trees)
@@ -101,6 +108,7 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		flowsByNode: make([][]int32, t.NodeCount()),
 		classOff:    classOff,
 		pruned:      make([]bool, nClasses),
+		depth:       depth,
 		flowMark:    make([]bool, len(flows)),
 		nodeMark:    make([]bool, t.NodeCount()),
 		linkMark:    make([]bool, t.LinkCount()),
@@ -197,6 +205,7 @@ func (r *Router) PruneDeadSubscribers(consumers []int) (int, error) {
 		subs = r.subscribers(fi, subs[:0])
 		// Routing to a subset of the old subscribers over the same alive
 		// topology cannot fail: the old tree already reached them all.
+		// The BFS is the same too, so the survivors' depths stand.
 		tree, changed, err := r.topo.BuildTreeInto(r.sc, r.flows[fi].Source, subs, r.trees[fi])
 		if err != nil {
 			return prunedNow, fmt.Errorf("overlay: prune re-route flow %d (%s): %w", fi, r.flows[fi].Name, err)

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,13 +68,20 @@ func checkRouterInvariants(t *testing.T, r *Router) {
 				subs = append(subs, cs.Node)
 			}
 		}
-		want, err := r.Topology().BuildTree(r.flows[fi].Source, subs)
+		sc := NewScratch(r.Topology())
+		want, _, err := r.Topology().BuildTreeInto(sc, r.flows[fi].Source, subs, Tree{Source: -1})
 		if err != nil {
 			t.Fatalf("from-scratch route of flow %d failed: %v", fi, err)
 		}
 		got := r.Tree(model.FlowID(fi))
 		if !got.equal(want) {
 			t.Fatalf("flow %d tree diverged from from-scratch BuildTree:\n got %+v\nwant %+v", fi, got, want)
+		}
+		// Recorded subscriber depths are the from-scratch BFS distances.
+		for k, cs := range r.flows[fi].Classes {
+			if j := off + k; !r.pruned[j] && r.depth[j] != sc.hops(cs.Node) {
+				t.Fatalf("flow %d class %d: recorded depth %d, BFS distance %d", fi, j, r.depth[j], sc.hops(cs.Node))
+			}
 		}
 		// Coefficients mirror the tree.
 		for _, li := range got.Links {
@@ -174,12 +182,48 @@ func equalIDs[T comparable](a, b []T) bool {
 
 func equalFloats(a, b []float64) bool { return equalIDs(a, b) }
 
+// snapshotTrees copies the Router's tree headers (the slices stay shared).
+func snapshotTrees(r *Router) []Tree {
+	return slices.Clone(r.trees)
+}
+
+// expectRetracedOnly checks a restore's locality: every flow outside the
+// re-traced set keeps its tree slices verbatim, the stats count that set,
+// and one BFS per distinct re-traced source plus the two distance runs
+// bound the work.
+func expectRetracedOnly(t *testing.T, r *Router, st RepairStats, before []Tree) {
+	t.Helper()
+	retraced := make(map[int32]bool, len(r.heal.sel))
+	sources := make(map[model.NodeID]bool)
+	for _, fi := range r.heal.sel {
+		retraced[fi] = true
+		sources[r.flows[fi].Source] = true
+	}
+	if st.Affected != len(r.heal.sel) || st.Rerouted+st.Unchanged != st.Affected {
+		t.Fatalf("%s %d: affected %d rerouted %d unchanged %d, re-traced set %v",
+			st.Kind, st.Element, st.Affected, st.Rerouted, st.Unchanged, r.heal.sel)
+	}
+	if st.BFSRuns > 2+len(sources) {
+		t.Fatalf("%s %d: %d BFS runs for %d re-traced sources", st.Kind, st.Element, st.BFSRuns, len(sources))
+	}
+	for fi := range before {
+		cur := r.Tree(model.FlowID(fi))
+		if retraced[int32(fi)] {
+			continue
+		}
+		if !sameSlice(before[fi].Links, cur.Links) || !sameSlice(before[fi].Nodes, cur.Nodes) {
+			t.Fatalf("%s %d: flow %d outside the re-traced set was re-routed", st.Kind, st.Element, fi)
+		}
+	}
+}
+
 // TestRouterRepairProperty drives a Router through a random sequence of
 // link kills and restores, checking after every event that (1) all trees
 // match from-scratch BuildTree on the mutated topology, (2) flows not
-// indexed to a killed link keep their tree slices verbatim, (3) repair
-// stats report exactly the indexed flows, and (4) RefreshRouting keeps a
-// live index equal to a fresh NewIndex.
+// indexed to a killed link, or outside a restore's re-traced set, keep
+// their tree slices verbatim, (3) repair stats report exactly those
+// flows, and (4) RefreshRouting keeps a live index equal to a fresh
+// NewIndex.
 func TestRouterRepairProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tp, caps, flows := randomRouterWorkload(rng, 60, 8, 3)
@@ -197,13 +241,12 @@ func TestRouterRepairProperty(t *testing.T) {
 		if restore {
 			k := rng.Intn(len(dead))
 			li := dead[k]
+			before := snapshotTrees(r)
 			st, err := r.RestoreLink(li)
 			if err != nil {
 				t.Fatalf("event %d: restore link %d: %v", ev, li, err)
 			}
-			if st.Affected != len(flows) {
-				t.Fatalf("event %d: restore affected %d, want full sweep %d", ev, st.Affected, len(flows))
-			}
+			expectRetracedOnly(t, r, st, before)
 			dead = append(dead[:k], dead[k+1:]...)
 		} else {
 			li := rng.Intn(tp.LinkCount())
@@ -281,6 +324,7 @@ func TestRouterRepairNodeProperty(t *testing.T) {
 	events := 0
 	for ev := 0; ev < 200 && events < 30; ev++ {
 		if deadNode >= 0 {
+			before := snapshotTrees(r)
 			st, err := r.RestoreNode(deadNode)
 			if err != nil {
 				t.Fatalf("restore node %d: %v", deadNode, err)
@@ -288,6 +332,7 @@ func TestRouterRepairNodeProperty(t *testing.T) {
 			if st.Kind != "node-restore" {
 				t.Fatalf("stats kind = %q", st.Kind)
 			}
+			expectRetracedOnly(t, r, st, before)
 			deadNode = -1
 		} else {
 			b := model.NodeID(rng.Intn(tp.NodeCount()))
