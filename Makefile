@@ -52,7 +52,7 @@ bench-broker:
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
 
 # Distributed-runtime benchmarks recorded as JSON: codec encode/decode
-# ns/op (transport), JSON-vs-binary bytes/round, plain-vs-batched
+# ns/op (transport), binary-wire bytes/round, plain-vs-batched
 # frames/round, and rounds-to-converge per staleness bound K.
 bench-dist:
 	$(GO) test -run='^$$' -bench='DistWire|DistBatch|DistStaleness|SyncRound|Message' -benchmem \

@@ -82,7 +82,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		optimizer     = fs.String("optimizer", "colocated", "optimizer formulation: colocated (synchronous engine) or dist (message-passing agents)")
 		transportName = fs.String("transport", "memory", "transport for -optimizer dist: memory or tcp")
-		distWire      = fs.String("dist-wire", "json", "wire format for -optimizer dist: json or binary")
 		distBatch     = fs.Bool("dist-batch", false, "coalesce -optimizer dist traffic into one frame per host per flush")
 		distHosts     = fs.Int("dist-hosts", 0, "simulated host count for -dist-batch gateways (0 = one per node)")
 		distStaleness = fs.Int("dist-staleness", 0, "bounded-staleness K for -optimizer dist rounds (0 = synchronous barrier)")
@@ -228,15 +227,10 @@ func run(args []string, out io.Writer) error {
 		}
 		defer net.Close()
 
-		wire, err := transport.ParseWire(*distWire)
-		if err != nil {
-			return fmt.Errorf("-dist-wire: %w", err)
-		}
-		fmt.Fprintf(out, "optimizing %s over %s transport (%d agents, %s wire, batch=%v, K=%d)...\n",
-			p.Name, *transportName, len(p.Flows)+len(p.Nodes), wire, *distBatch, *distStaleness)
+		fmt.Fprintf(out, "optimizing %s over %s transport (%d agents, batch=%v, K=%d)...\n",
+			p.Name, *transportName, len(p.Flows)+len(p.Nodes), *distBatch, *distStaleness)
 		cfg := dist.Config{
 			Core:         core.Config{Adaptive: true},
-			Wire:         wire,
 			Batch:        *distBatch,
 			Hosts:        *distHosts,
 			Staleness:    *distStaleness,

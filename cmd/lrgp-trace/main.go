@@ -2,7 +2,8 @@
 // event log (the JSONL written by dist.Cluster.WriteEvents, lrgp-broker
 // -dist-events, or a stall post-mortem dump) and renders the merged
 // cross-agent view: the per-round timeline, the straggler ranking
-// against each communicating component's round frontier, the loss
+// (critical-path blame, then lag behind each communicating component's
+// round frontier), the loss
 // hotspots (rounds that needed resend chirps), and the effective
 // staleness distribution actually observed at the agents' sends.
 //
@@ -88,14 +89,15 @@ func run(args []string, out io.Writer, stdin io.Reader) error {
 	}
 	emit(tl)
 
-	st := trace.NewTable("stragglers (time spent >1 round behind the component frontier)",
-		"agent", "rounds", "max_lag", "chirps", "behind_ms")
+	st := trace.NewTable("stragglers (blame: waits rooted at the agent being cut off; behind: time >1 round behind the component frontier)",
+		"agent", "rounds", "max_lag", "chirps", "blame_ms", "behind_ms")
 	for i, ag := range a.Agents {
 		if i >= *top {
 			break
 		}
 		st.Addf(ag.Agent, fmt.Sprintf("%d..%d", ag.FirstRound, ag.LastRound),
-			ag.MaxLag, ag.Chirps, fmt.Sprintf("%.2f", float64(ag.BehindNanos)/1e6))
+			ag.MaxLag, ag.Chirps, fmt.Sprintf("%.2f", float64(ag.BlameNanos)/1e6),
+			fmt.Sprintf("%.2f", float64(ag.BehindNanos)/1e6))
 	}
 	emit(st)
 

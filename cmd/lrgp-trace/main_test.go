@@ -61,7 +61,7 @@ func TestRunRendersTables(t *testing.T) {
 	}
 	for _, table := range []string{
 		"== round timeline ==",
-		"== stragglers (time spent >1 round behind the component frontier) ==",
+		"== stragglers (blame: waits rooted at the agent being cut off; behind: time >1 round behind the component frontier) ==",
 		"== loss hotspots (rounds by resend chirps) ==",
 		"== effective staleness (input lag observed at each send) ==",
 	} {
@@ -93,7 +93,7 @@ func TestRunCSV(t *testing.T) {
 	got := out.String()
 	for _, header := range []string{
 		"round,sends,recvs,resends,start_ms,window_ms",
-		"agent,rounds,max_lag,chirps,behind_ms",
+		"agent,rounds,max_lag,chirps,blame_ms,behind_ms",
 		"round,resends,sends,recvs",
 		"lag_rounds,sends,share",
 	} {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -40,8 +41,18 @@ type AgentSummary struct {
 	MaxLag int
 	// BehindNanos integrates max(0, lag-1) over the agent's observed
 	// window: time spent more than one round behind the frontier (one
-	// round behind is normal pipeline skew). The straggler score.
+	// round behind is normal pipeline skew). It measures the symptom:
+	// agents that wait on a straggler build up lag too.
 	BehindNanos int64
+	// BlameNanos is the critical-path wait charged to this agent for
+	// being cut off: every round advance's wait is followed along the
+	// wait-for chain (the last input absorbed before the advance names
+	// the blocker) to its root, and a root where the agent chirped but
+	// was neither heard nor hearing is charged to it. The straggler
+	// score: a partitioned agent stalls its whole component, so its lag
+	// against that component's frontier stays small, but every wait in
+	// the component roots at it.
+	BlameNanos int64
 }
 
 // Analysis is the merged cross-agent view of one event log.
@@ -53,7 +64,7 @@ type Analysis struct {
 	// Rounds is the per-round timeline in round order.
 	Rounds []RoundSummary
 	// Agents is every flow/node agent, most-straggling first
-	// (BehindNanos descending, chirps as tiebreak).
+	// (BlameNanos descending, then BehindNanos, then chirps).
 	Agents []AgentSummary
 	// StalenessDist histograms the observed input lag at each send: how
 	// stale the inputs actually used were, in rounds (the effective
@@ -64,9 +75,12 @@ type Analysis struct {
 	Stalls       int
 }
 
-// frontierStep is one increase of a component's completed-round maximum.
+// frontierStep is one increase of a component's completed-round maximum,
+// or one agent's round advance (seq then orders it among the agent's own
+// events, which the coarse recorder clock can give equal timestamps).
 type frontierStep struct {
 	nanos int64
+	seq   uint64
 	round int
 }
 
@@ -104,7 +118,21 @@ type agentTrack struct {
 	firstNanos int64
 	lastNanos  int64
 	advances   []frontierStep // (nanos, completed round), ascending
-	chirps     int
+	roundAt    map[int]int    // round -> index of its advance
+	absorbs    []inbound      // accepted frames, ascending
+	heard      []int64        // frames in or out (connectivity), ascending
+	inAt       []int64        // frames it received, ascending
+	chirpAt    []int64        // stall re-announces, ascending
+	peers      []*agentTrack  // agents it exchanged frames with
+	blame      int64
+}
+
+// inbound is one frame an agent absorbed: when, from whom, which round.
+type inbound struct {
+	nanos int64
+	seq   uint64
+	from  string
+	round int
 }
 
 // Analyze merges a flight-recorder event log into the per-round timeline
@@ -124,7 +152,10 @@ func Analyze(recs []EventRecord) *Analysis {
 			}
 			return 1
 		}
-		return strings.Compare(x.Agent, y.Agent)
+		if c := strings.Compare(x.Agent, y.Agent); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Seq, y.Seq)
 	})
 
 	rounds := make(map[int]*RoundSummary)
@@ -156,13 +187,18 @@ func Analyze(recs []EventRecord) *Analysis {
 		return flowName(model.FlowID(rec.A))
 	}
 	comps := newUnionFind()
+	// heard holds, per agent, the times it received any frame or any
+	// frame from it was received: its connectivity evidence. links are
+	// the agent pairs that exchanged frames.
+	heard := make(map[string][]int64)
+	links := make(map[[2]string]bool)
 	endNanos := sorted[len(sorted)-1].Nanos
 
 	for _, rec := range sorted {
 		if isAgent(rec.Agent) {
 			tr, ok := tracks[rec.Agent]
 			if !ok {
-				tr = &agentTrack{firstNanos: rec.Nanos}
+				tr = &agentTrack{firstNanos: rec.Nanos, roundAt: make(map[int]int)}
 				tracks[rec.Agent] = tr
 			}
 			tr.lastNanos = rec.Nanos
@@ -177,14 +213,23 @@ func Analyze(recs []EventRecord) *Analysis {
 			// count as a received frame for the round.
 			touchRound(rec.Round, rec.Nanos).Recvs++
 			if isAgent(rec.Agent) {
-				comps.union(rec.Agent, peerOf(rec))
+				peer := peerOf(rec)
+				comps.union(rec.Agent, peer)
+				heard[rec.Agent] = append(heard[rec.Agent], rec.Nanos)
+				heard[peer] = append(heard[peer], rec.Nanos)
+				links[[2]string{min(rec.Agent, peer), max(rec.Agent, peer)}] = true
+				tr := tracks[rec.Agent]
+				tr.inAt = append(tr.inAt, rec.Nanos)
+				if parseEventType(rec.Ev) == EvAbsorb {
+					tr.absorbs = append(tr.absorbs, inbound{nanos: rec.Nanos, seq: rec.Seq, from: peer, round: rec.Round})
+				}
 			}
 		case EvResend:
 			rs := touchRound(rec.Round, rec.Nanos)
 			rs.Resends++
 			a.TotalResends++
 			if tr := tracks[rec.Agent]; tr != nil {
-				tr.chirps++
+				tr.chirpAt = append(tr.chirpAt, rec.Nanos)
 			}
 		case EvRound:
 			touchRound(rec.Round, rec.Nanos)
@@ -192,7 +237,10 @@ func Analyze(recs []EventRecord) *Analysis {
 				a.MaxRound = rec.Round
 			}
 			if tr := tracks[rec.Agent]; tr != nil {
-				tr.advances = append(tr.advances, frontierStep{nanos: rec.Nanos, round: rec.Round})
+				if _, seen := tr.roundAt[rec.Round]; !seen {
+					tr.roundAt[rec.Round] = len(tr.advances)
+				}
+				tr.advances = append(tr.advances, frontierStep{nanos: rec.Nanos, seq: rec.Seq, round: rec.Round})
 			}
 		case EvStall:
 			a.Stalls++
@@ -217,9 +265,27 @@ func Analyze(recs []EventRecord) *Analysis {
 	}
 
 	for name, tr := range tracks {
-		a.Agents = append(a.Agents, summarizeAgent(name, tr, frontiers[comps.find(name)], endNanos))
+		tr.heard = heard[name]
+	}
+	for l := range links {
+		if x, y := tracks[l[0]], tracks[l[1]]; x != nil && y != nil {
+			x.peers = append(x.peers, y)
+			y.peers = append(y.peers, x)
+		}
+	}
+	blameWaits(tracks)
+	for name, tr := range tracks {
+		s := summarizeAgent(name, tr, frontiers[comps.find(name)], endNanos)
+		s.BlameNanos = tr.blame
+		a.Agents = append(a.Agents, s)
 	}
 	slices.SortFunc(a.Agents, func(x, y AgentSummary) int {
+		if x.BlameNanos != y.BlameNanos {
+			if x.BlameNanos > y.BlameNanos {
+				return -1
+			}
+			return 1
+		}
 		if x.BehindNanos != y.BehindNanos {
 			if x.BehindNanos > y.BehindNanos {
 				return -1
@@ -246,7 +312,7 @@ func Analyze(recs []EventRecord) *Analysis {
 // holds no advances at all cannot be judged and scores zero rather than
 // being mistaken for a maximal straggler.
 func summarizeAgent(name string, tr *agentTrack, frontier []frontierStep, endNanos int64) AgentSummary {
-	s := AgentSummary{Agent: name, Chirps: tr.chirps}
+	s := AgentSummary{Agent: name, Chirps: len(tr.chirpAt)}
 	if len(tr.advances) == 0 {
 		return s
 	}
@@ -293,4 +359,152 @@ func summarizeAgent(name string, tr *agentTrack, frontier []frontierStep, endNan
 		}
 	}
 	return s
+}
+
+// maxBlameHops bounds one wait-for chain. Chains follow strictly earlier
+// sends, so real logs end long before this; it is a backstop for logs
+// whose sequence numbers do not order an agent's events.
+const maxBlameHops = 1024
+
+// blameSpan is a wait interval [lo, hi] of agent tr that ends at or
+// before its advance adv, still to be charged to a root cause.
+type blameSpan struct {
+	tr     *agentTrack
+	adv    int
+	lo, hi int64
+	hops   int
+}
+
+// blameWaits charges every round advance's wait to its root cause, in the
+// spirit of critical-path attribution in Dapper (Sigelman et al., 2010).
+// The wait before an agent's advance splits at the last input it absorbed
+// (the blocker: the staleness loop re-checks its bound after every
+// frame, so that frame is the one that released it):
+//   - until the blocker's sender produced that round, the wait is the
+//     sender's own lateness, and is followed into the sender's wait;
+//   - from production to absorption the frame was in transit.
+//
+// A transit, or a wait with no absorbed input at all, is charged to an
+// endpoint that was cut off over it (see cutOff); both endpoints cut off
+// share it. Anything else is charged to no one: an ordinary lost frame
+// that a chirp repaired is the network's, and an agent that simply got no
+// CPU is the host's. A partitioned agent is cut off for the whole
+// partition, so every wait in its component roots at it.
+func blameWaits(tracks map[string]*agentTrack) {
+	var stack []blameSpan
+	for _, tr := range tracks {
+		for k := 1; k < len(tr.advances); k++ {
+			stack = append(stack[:0], blameSpan{tr: tr, adv: k, lo: tr.advances[k-1].nanos, hi: tr.advances[k].nanos})
+			for len(stack) > 0 {
+				sp := stack[len(stack)-1]
+				stack = blameStep(sp, stack[:len(stack)-1], tracks)
+			}
+		}
+	}
+}
+
+// blameStep charges what it can of one span and pushes the rest.
+func blameStep(sp blameSpan, stack []blameSpan, tracks map[string]*agentTrack) []blameSpan {
+	tr, lo, hi := sp.tr, sp.lo, sp.hi
+	if hi <= lo || sp.hops >= maxBlameHops {
+		return stack
+	}
+	// Before its previous advance the agent was still producing earlier
+	// rounds: that part belongs to the earlier wait.
+	if sp.adv > 0 {
+		if w := tr.advances[sp.adv-1].nanos; lo < w {
+			stack = append(stack, blameSpan{tr: tr, adv: sp.adv - 1, lo: lo, hi: min(hi, w), hops: sp.hops + 1})
+			if lo = w; lo >= hi {
+				return stack
+			}
+		}
+	}
+	// The blocker is the last frame absorbed before the advance, in the
+	// agent's own event order: the recorder clock is coarse, so frames
+	// absorbed just after the advance can share its timestamp.
+	i, _ := slices.BinarySearchFunc(tr.absorbs, tr.advances[sp.adv].seq, func(in inbound, seq uint64) int {
+		if in.seq < seq {
+			return -1
+		}
+		return 1
+	})
+	if i == 0 || (sp.adv > 0 && tr.absorbs[i-1].seq < tr.advances[sp.adv-1].seq) {
+		chargeCutOff(tr, nil, lo, hi) // advanced without new input
+		return stack
+	}
+	blk := tr.absorbs[i-1]
+	arrived := min(max(blk.nanos, lo), hi)
+	produced := lo // sender's advance not in the log (ring wrapped): all transit
+	src := tracks[blk.from]
+	if src != nil {
+		if j, ok := src.roundAt[blk.round]; ok {
+			produced = min(max(src.advances[j].nanos, lo), arrived)
+			if produced > lo {
+				stack = append(stack, blameSpan{tr: src, adv: j, lo: lo, hi: produced, hops: sp.hops + 1})
+			}
+		}
+	}
+	chargeCutOff(tr, src, produced, arrived)
+	return stack
+}
+
+// chargeCutOff charges [u, v] to whichever of a and b (b may be nil) was
+// cut off over it, splitting it when both were.
+func chargeCutOff(a, b *agentTrack, u, v int64) {
+	if v <= u {
+		return
+	}
+	aCut, bCut := a.cutOff(u, v), b != nil && b.cutOff(u, v)
+	switch {
+	case aCut && bCut:
+		a.blame += (v - u) / 2
+		b.blame += v - u - (v-u)/2
+	case aCut:
+		a.blame += v - u
+	case bCut:
+		b.blame += v - u
+	}
+}
+
+// cutOff reports whether the agent was cut off over [u, v]: for at least
+// half of it, a silence (no frame in or out) during which its chirps went
+// unheard. Starvation is not a cut-off: an agent the scheduler does not
+// run records nothing, and peers that do not run hear nothing either.
+func (tr *agentTrack) cutOff(u, v int64) bool {
+	i, _ := slices.BinarySearch(tr.heard, u+1)
+	prev := u
+	for {
+		next := v
+		if i < len(tr.heard) && tr.heard[i] < v {
+			next = tr.heard[i]
+		}
+		if 2*(next-prev) >= v-u && tr.unheardChirps(prev, next) {
+			return true
+		}
+		if next == v {
+			return false
+		}
+		prev = next
+		i++
+	}
+}
+
+// unheardChirps reports whether the agent chirped at least twice inside
+// the silence (from, to) while a peer, which every chirp is sent to, kept
+// receiving frames after the second one. Inboxes are FIFO, so that peer
+// would have received both chirps first had they arrived: they were lost.
+// One lost chirp is ordinary loss; two in a row while the peer hears
+// others is a cut-off.
+func (tr *agentTrack) unheardChirps(from, to int64) bool {
+	c, _ := slices.BinarySearch(tr.chirpAt, from+1)
+	if c+1 >= len(tr.chirpAt) || tr.chirpAt[c+1] >= to {
+		return false
+	}
+	second := tr.chirpAt[c+1]
+	for _, p := range tr.peers {
+		if j, _ := slices.BinarySearch(p.inAt, second+1); j < len(p.inAt) && p.inAt[j] < to {
+			return true
+		}
+	}
+	return false
 }

@@ -28,8 +28,7 @@ func BenchmarkSyncRoundMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncRoundTCP measures the same round over loopback TCP with
-// JSON framing.
+// BenchmarkSyncRoundTCP measures the same round over loopback TCP.
 func BenchmarkSyncRoundTCP(b *testing.B) {
 	net := transport.NewTCP()
 	defer net.Close()
@@ -46,27 +45,9 @@ func BenchmarkSyncRoundTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncRoundTCPBinary is BenchmarkSyncRoundTCP on the compact
-// binary wire (uvarint framing, no per-message json.Marshal).
-func BenchmarkSyncRoundTCPBinary(b *testing.B) {
-	net := transport.NewTCP()
-	defer net.Close()
-	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}, Wire: transport.WireBinary}, net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Run(1, time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchRounds runs b.N synchronous rounds under cfg on the given problem
 // and reports frames/round and bytes/round from the transport meter, the
-// two costs the binary codec and gateway batching attack (recorded to
+// two costs gateway batching attacks (recorded to
 // BENCH_dist.json by `make bench-dist`).
 func benchRounds(b *testing.B, cfg Config, flowCopies, nodeSetCopies int) {
 	p := workload.Scaled(workload.Config{FlowCopies: flowCopies, NodeSetCopies: nodeSetCopies})
@@ -88,20 +69,19 @@ func benchRounds(b *testing.B, cfg Config, flowCopies, nodeSetCopies int) {
 	b.ReportMetric(float64(m.Bytes)/float64(b.N), "bytes/round")
 }
 
-// BenchmarkDistWire compares the wire formats on the base workload.
+// BenchmarkDistWire measures the wire cost of the base workload.
 func BenchmarkDistWire(b *testing.B) {
-	b.Run("json", func(b *testing.B) { benchRounds(b, Config{}, 1, 1) })
-	b.Run("binary", func(b *testing.B) { benchRounds(b, Config{Wire: transport.WireBinary}, 1, 1) })
+	b.Run("binary", func(b *testing.B) { benchRounds(b, Config{}, 1, 1) })
 }
 
 // BenchmarkDistBatch compares plain per-message delivery against per-host
 // gateway batching on the 102-flow x 102-node cluster (12 hosts).
 func BenchmarkDistBatch(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
-		benchRounds(b, Config{Wire: transport.WireBinary}, 17, 2)
+		benchRounds(b, Config{}, 17, 2)
 	})
 	b.Run("batched", func(b *testing.B) {
-		benchRounds(b, Config{Wire: transport.WireBinary, Batch: true, Hosts: 12}, 17, 2)
+		benchRounds(b, Config{Batch: true, Hosts: 12}, 17, 2)
 	})
 }
 
@@ -121,7 +101,6 @@ func BenchmarkDistRecorder(b *testing.B) {
 			defer net.Close()
 			cl, err := New(p, Config{
 				Core:      core.Config{Adaptive: true},
-				Wire:      transport.WireBinary,
 				Staleness: 1,
 				Record:    on,
 			}, net)
@@ -155,7 +134,7 @@ func BenchmarkDistStaleness(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net := transport.NewMemory()
 				cl, err := New(p, Config{
-					Core: core.Config{Adaptive: true}, Wire: transport.WireBinary,
+					Core:  core.Config{Adaptive: true},
 					Batch: true, Hosts: 12, Staleness: k,
 				}, net)
 				if err != nil {

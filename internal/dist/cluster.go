@@ -29,9 +29,9 @@ const (
 const (
 	DefaultTick        = 2 * time.Millisecond
 	DefaultPriceWindow = 3
-	// DefaultResend is the stall re-announce interval in bounded-staleness
-	// mode: an agent blocked this long re-sends its freshest value so a
-	// dropped frame cannot deadlock the cluster.
+	// DefaultResend is the Sync-mode stall re-announce interval: an agent
+	// blocked this long re-sends its freshest value so a dropped frame
+	// cannot deadlock the cluster.
 	DefaultResend = 10 * time.Millisecond
 )
 
@@ -45,7 +45,7 @@ type Config struct {
 	// DefaultTick).
 	Tick time.Duration
 	// PriceWindow is how many recent prices a flow source averages per
-	// resource (default DefaultPriceWindow). Barrier-synchronous runs
+	// resource (default DefaultPriceWindow). Sync runs at Staleness 0
 	// always use the latest price only; Async and bounded-staleness runs
 	// average per Section 3.5.
 	PriceWindow int
@@ -53,11 +53,6 @@ type Config struct {
 	// (per-class delivery rates); see internal/multirate.
 	Multirate bool
 
-	// Wire selects the message encoding (transport.WireJSON, the
-	// compatible default, or transport.WireBinary for the compact
-	// varint-framed codec). The trajectory is identical either way; only
-	// the bytes on the wire differ.
-	Wire transport.Wire
 	// Batch co-locates agents onto gateway hosts: intra-host messages
 	// skip the wire entirely and cross-host traffic is batched into one
 	// frame per host pair per flush epoch (see gateway.go). In Async mode
@@ -74,10 +69,11 @@ type Config struct {
 	// Staleness bounds how many rounds behind an agent's inputs may be in
 	// Sync mode (Section 3.5 averaging tolerates the skew). 0 keeps the
 	// exact barrier schedule; K > 0 lets agents proceed on values up to K
-	// rounds stale, which overlaps rounds and rides out message loss.
+	// rounds stale, which overlaps rounds.
 	Staleness int
-	// Resend is the stall re-announce interval for bounded-staleness
-	// runs (default DefaultResend when Staleness > 0; < 0 disables).
+	// Resend is the Sync-mode stall re-announce interval (default
+	// DefaultResend). Resends always run, so a lost frame delays a round
+	// instead of stalling the cluster.
 	Resend time.Duration
 
 	// Telemetry, when non-nil, streams runtime metrics (round progress,
@@ -105,11 +101,6 @@ type Config struct {
 	// their Stop (default 5s). Under fault injection a Stop frame can be
 	// lost, making the grace period the shutdown deadline.
 	StopGrace time.Duration
-
-	// staleLoop forces the bounded-staleness agent loop even at
-	// Staleness == 0 (used by tests to prove the K=0 schedule is
-	// bit-identical to the barrier loop).
-	staleLoop bool
 }
 
 func (c Config) normalized() Config {
@@ -126,15 +117,11 @@ func (c Config) normalized() Config {
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
-	if c.Staleness > 0 {
-		c.staleLoop = true
-	}
 	if c.Mode == Sync && c.Staleness == 0 {
-		// Barrier schedule (and its bit-identical K=0 staleness variant):
-		// latest price only.
+		// Barrier schedule: latest price only.
 		c.PriceWindow = 1
 	}
-	if c.staleLoop && c.Resend == 0 {
+	if c.Resend <= 0 {
 		c.Resend = DefaultResend
 	}
 	if c.FlushInterval <= 0 {
@@ -190,15 +177,6 @@ type Cluster struct {
 	ran     int // highest round requested in sync mode
 }
 
-// setWire applies the configured wire format to endpoints that support
-// per-endpoint selection (the TCP transport; the in-memory transport
-// passes structs through and has nothing to select).
-func setWire(ep transport.Endpoint, w transport.Wire) {
-	if ws, ok := ep.(transport.WireSelector); ok {
-		ws.SetWire(w)
-	}
-}
-
 // New validates the problem and attaches all agents to the network. Agents
 // do not process rounds until Run (Sync) or Start (Async).
 func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) {
@@ -224,7 +202,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dist: collector endpoint: %w", err)
 	}
-	setWire(collEP, c.Wire)
 	// Only nodes that see at least one flow (directly or via an owned
 	// link) ever compute and report; the collector must not wait for the
 	// silent ones.
@@ -240,25 +217,19 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 			reporting++
 		}
 	}
-	cl.coll = newCollector(p, collEP, reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
+	cl.coll = newCollector(p, collEP, reporting, c.Telemetry, cl.newRec(collectorName), cl.epoch)
 
 	ctrlEP, err := net.Endpoint("cluster-ctrl")
 	if err != nil {
 		return nil, fmt.Errorf("dist: control endpoint: %w", err)
 	}
-	setWire(ctrlEP, c.Wire)
 	cl.ctrl = ctrlEP
 
 	// endpointFor hands each agent its attachment: a plain network
 	// endpoint, or a port on its host's batching gateway.
 	endpointFor := func(name string) (transport.Endpoint, error) {
 		if !c.Batch {
-			ep, err := net.Endpoint(name)
-			if err != nil {
-				return nil, err
-			}
-			setWire(ep, c.Wire)
-			return ep, nil
+			return net.Endpoint(name)
 		}
 		gw := cl.gateways[hostIndex(cl.route[name], len(cl.gateways))]
 		return gw.port(name), nil
@@ -295,25 +266,17 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	// control arrives.
 	go cl.coll.run()
 	for _, fa := range cl.flows {
-		fa := fa
-		switch {
-		case c.Mode != Sync:
-			go fa.runAsync()
-		case c.staleLoop:
+		if c.Mode == Sync {
 			go fa.runStale()
-		default:
-			go fa.runSync()
+		} else {
+			go fa.runAsync()
 		}
 	}
 	for _, na := range cl.nodes {
-		na := na
-		switch {
-		case c.Mode != Sync:
-			go na.runAsync()
-		case c.staleLoop:
+		if c.Mode == Sync {
 			go na.runStale()
-		default:
-			go na.runSync()
+		} else {
+			go na.runAsync()
 		}
 	}
 	if c.StallTimeout > 0 && c.Mode == Sync {
@@ -436,8 +399,7 @@ func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Conf
 		if err != nil {
 			return fmt.Errorf("dist: host %d endpoint: %w", k, err)
 		}
-		setWire(ep, c.Wire)
-		cl.gateways = append(cl.gateways, newGateway(ep, c.Wire, cl.route, c.Mode == Async, c.FlushInterval, c.Telemetry, cl.newRec(hostName(k))))
+		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, c.Mode == Async, c.FlushInterval, c.Telemetry, cl.newRec(hostName(k))))
 	}
 	return nil
 }
@@ -462,25 +424,16 @@ var ErrMode = errors.New("dist: operation not valid in this mode")
 // or wrapped in a single-message batch frame to the agent's host gateway
 // in batch mode). All errors surface to the caller.
 func (cl *Cluster) sendCtrl(to string, body ctrlMsg) error {
-	payload, err := encodeBody(cl.cfg.Wire, nil, body)
-	if err != nil {
-		return err
-	}
-	msg := transport.Message{From: cl.ctrl.Name(), To: to, Kind: ctrlKind, Payload: payload}
+	msg := transport.Message{From: cl.ctrl.Name(), To: to, Kind: ctrlKind, Payload: body.appendBinary(nil)}
 	if host, ok := cl.route[to]; ok && host != to {
-		bp, err := encodeBatch(cl.cfg.Wire, []transport.Message{msg})
-		if err != nil {
-			return err
-		}
-		msg = transport.Message{From: cl.ctrl.Name(), To: host, Kind: batchKind, Payload: bp}
+		msg = transport.Message{From: cl.ctrl.Name(), To: host, Kind: batchKind, Payload: encodeBatch([]transport.Message{msg})}
 	}
 	return cl.ctrl.Send(msg)
 }
 
-// Run advances a Sync cluster by `rounds` lock-step rounds and returns the
-// per-round global utilities observed by the collector. In bounded-
-// staleness mode over a lossy transport, rounds whose frames were lost are
-// absent from the result.
+// Run advances a Sync cluster by `rounds` rounds and returns the
+// per-round global utilities observed by the collector. Over a lossy
+// transport, rounds whose frames were lost are absent from the result.
 func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) {
 	if cl.cfg.Mode != Sync {
 		return nil, ErrMode

@@ -36,11 +36,11 @@ type collector struct {
 	deliveries []float64
 	active     []bool
 	// sync-mode round assembly. reportSeen tracks reporting nodes as a
-	// set, not a count, so resent reports (bounded-staleness mode) are
-	// deduplicated. activeCount and roundGot (rates recorded per round
-	// from currently-active flows) are maintained incrementally so the
-	// per-message completeness check is O(1) — a full scan per message is
-	// what melts the collector on thousand-agent clusters.
+	// set, not a count, so resent reports are deduplicated. activeCount
+	// and roundGot (rates recorded per round from currently-active flows)
+	// are maintained incrementally so the per-message completeness check
+	// is O(1) — a full scan per message is what melts the collector on
+	// thousand-agent clusters.
 	roundRates  map[int]map[model.FlowID]float64
 	roundPops   map[int]map[model.ClassID]int
 	roundDel    map[int]map[model.ClassID]float64
@@ -57,15 +57,13 @@ type collector struct {
 	latestNode []int
 	roundFirst map[int]int64
 	stats      []RoundStats
-	// inOrder finalizes rounds strictly sequentially (the lossless
-	// barrier protocol). When false (bounded-staleness mode over lossy
-	// transports) any fully-assembled round finalizes, and rounds whose
-	// frames were lost are simply skipped.
-	inOrder      bool
-	nextComplete int
-	completed    map[int]bool // skip mode only
-	waiters      []roundWaiter
-	samples      int
+	// completed marks finalized rounds. Any fully-assembled round
+	// finalizes on its own, and rounds whose frames were lost are simply
+	// skipped. Inputs for a completed round (resends, late stragglers)
+	// are dropped so they cannot recreate its per-round entries.
+	completed map[int]bool
+	waiters   []roundWaiter
+	samples   int
 
 	done chan struct{}
 }
@@ -79,31 +77,29 @@ type roundWaiter struct {
 // node agents that actually report each round: nodes reached by at least
 // one flow or owning at least one link with flows (a node with neither
 // never computes).
-func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrder bool, tel *telemetry.DistMetrics, rec *recorder, epoch time.Time) *collector {
+func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, tel *telemetry.DistMetrics, rec *recorder, epoch time.Time) *collector {
 	c := &collector{
-		p:            p,
-		ep:           ep,
-		tel:          tel,
-		rec:          rec,
-		epoch:        epoch,
-		latestFlow:   make([]int, len(p.Flows)),
-		latestNode:   make([]int, len(p.Nodes)),
-		roundFirst:   make(map[int]int64),
-		rates:        make([]float64, len(p.Flows)),
-		consumers:    make([]int, len(p.Classes)),
-		deliveries:   make([]float64, len(p.Classes)),
-		active:       make([]bool, len(p.Flows)),
-		roundRates:   make(map[int]map[model.FlowID]float64),
-		roundPops:    make(map[int]map[model.ClassID]int),
-		roundDel:     make(map[int]map[model.ClassID]float64),
-		reportSeen:   make(map[int]map[model.NodeID]bool),
-		roundGot:     make(map[int]int),
-		activeCount:  len(p.Flows),
-		nodesTotal:   nodesTotal,
-		inOrder:      inOrder,
-		nextComplete: 1,
-		completed:    make(map[int]bool),
-		done:         make(chan struct{}),
+		p:           p,
+		ep:          ep,
+		tel:         tel,
+		rec:         rec,
+		epoch:       epoch,
+		latestFlow:  make([]int, len(p.Flows)),
+		latestNode:  make([]int, len(p.Nodes)),
+		roundFirst:  make(map[int]int64),
+		rates:       make([]float64, len(p.Flows)),
+		consumers:   make([]int, len(p.Classes)),
+		deliveries:  make([]float64, len(p.Classes)),
+		active:      make([]bool, len(p.Flows)),
+		roundRates:  make(map[int]map[model.FlowID]float64),
+		roundPops:   make(map[int]map[model.ClassID]int),
+		roundDel:    make(map[int]map[model.ClassID]float64),
+		reportSeen:  make(map[int]map[model.NodeID]bool),
+		roundGot:    make(map[int]int),
+		activeCount: len(p.Flows),
+		nodesTotal:  nodesTotal,
+		completed:   make(map[int]bool),
+		done:        make(chan struct{}),
 	}
 	for i := range c.active {
 		c.active[i] = true
@@ -179,6 +175,9 @@ func (c *collector) absorbRate(rm rateMsg) {
 	if rm.Round > c.latestFlow[rm.Flow] {
 		c.latestFlow[rm.Flow] = rm.Round
 	}
+	if c.completed[rm.Round] {
+		return
+	}
 	c.touchRoundLocked(rm.Round)
 	if !rm.Active {
 		if c.active[rm.Flow] {
@@ -233,6 +232,9 @@ func (c *collector) absorbReport(rm reportMsg) {
 	if rm.Round > c.latestNode[rm.Node] {
 		c.latestNode[rm.Node] = rm.Round
 	}
+	if c.completed[rm.Round] {
+		return
+	}
 	c.touchRoundLocked(rm.Round)
 	for cid, n := range rm.Populations {
 		c.consumers[cid] = n
@@ -259,18 +261,10 @@ func (c *collector) absorbReport(rm reportMsg) {
 	c.completeRoundsLocked(rm.Round)
 }
 
-// completeRoundsLocked finalizes rounds whose full input set has arrived.
-// In inOrder mode rounds finalize strictly sequentially from nextComplete;
-// in skip mode (bounded staleness over lossy transports) the round just
-// touched finalizes independently, since earlier rounds may never
-// assemble.
+// completeRoundsLocked finalizes the round just touched if its full input
+// set has arrived. Rounds finalize independently, since earlier rounds
+// may never assemble over a lossy transport.
 func (c *collector) completeRoundsLocked(touched int) {
-	if c.inOrder {
-		for c.finalizeLocked(c.nextComplete) {
-			c.nextComplete++
-		}
-		return
-	}
 	if !c.completed[touched] && c.finalizeLocked(touched) {
 		c.completed[touched] = true
 	}
@@ -336,9 +330,11 @@ func (c *collector) finalizeLocked(round int) bool {
 	delete(c.reportSeen, round)
 	delete(c.roundGot, round)
 
+	// A waiter is released when its own round finalizes; earlier rounds
+	// may never assemble.
 	var still []roundWaiter
 	for _, w := range c.waiters {
-		if c.waiterSatisfiedLocked(w, round) {
+		if w.round == round {
 			close(w.ch)
 		} else {
 			still = append(still, w)
@@ -348,20 +344,10 @@ func (c *collector) finalizeLocked(round int) bool {
 	return true
 }
 
-// waiterSatisfiedLocked reports whether finalizing `round` releases w: in
-// inOrder mode every round up to w.round has then completed; in skip mode
-// the waited-for round itself must finalize (earlier ones may never).
-func (c *collector) waiterSatisfiedLocked(w roundWaiter, round int) bool {
-	if c.inOrder {
-		return round >= w.round
-	}
-	return round == w.round || c.completed[w.round]
-}
-
 // waitRound blocks until the given round has been finalized.
 func (c *collector) waitRound(round int, timeout time.Duration) error {
 	c.mu.Lock()
-	if (c.inOrder && c.nextComplete > round) || (!c.inOrder && c.completed[round]) {
+	if c.completed[round] {
 		c.mu.Unlock()
 		return nil
 	}
@@ -380,7 +366,7 @@ func (c *collector) waitRound(round int, timeout time.Duration) error {
 }
 
 // rounds returns the finalized stats for rounds [from, to], in round
-// order. In skip mode, rounds whose frames were lost are absent.
+// order. Rounds whose frames were lost are absent.
 func (c *collector) rounds(from, to int) []RoundStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -40,7 +40,6 @@ type flowAgent struct {
 	peerNodes  []model.NodeID // same set as peerNames, as ids
 	peerCount  int
 	priceAvgWn int // async price-averaging window (>=1)
-	wire       transport.Wire
 
 	// Dynamic state.
 	consumers []int
@@ -116,7 +115,6 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, ep transp
 		nodePrice:  make(map[model.NodeID]*priceWindow),
 		linkPrice:  make(map[model.LinkID]*priceWindow),
 		priceAvgWn: c.PriceWindow,
-		wire:       c.Wire,
 		round:      1,
 		tickEvery:  c.Tick,
 		staleness:  c.Staleness,
@@ -223,15 +221,11 @@ func (fa *flowAgent) absorbReport(rm reportMsg) {
 // announce sends the flow's rate for the given round to every peer node
 // agent and the collector. The body is encoded once and the payload shared
 // across all peer messages (receivers treat payloads as read-only).
-// Lossy-transport failures (drops, partitions) are tolerated — the
-// asynchronous mode is designed for them, and in the synchronous mode the
-// transports are lossless; only a closed transport is fatal.
+// Lossy-transport failures (drops, partitions, full inboxes) are tolerated
+// — resend chirps repair them in Sync mode, and Async mode never waits on
+// one message; only a closed transport is fatal.
 func (fa *flowAgent) announce(round int, rate float64, active bool) error {
-	body := rateMsg{Round: round, Flow: fa.flow, Rate: rate, Active: active}
-	payload, err := encodeBody(fa.wire, nil, body)
-	if err != nil {
-		return err
-	}
+	payload := rateMsg{Round: round, Flow: fa.flow, Rate: rate, Active: active}.appendBinary(nil)
 	from := fa.ep.Name()
 	for _, peer := range fa.peerNames {
 		msg := transport.Message{From: from, To: peer, Kind: rateKind, Payload: payload}
@@ -246,87 +240,23 @@ func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 	return nil
 }
 
-// runSync is the synchronous round loop. It blocks until a Stop control or
-// transport shutdown. A Leave control makes the agent announce departure
-// and idle; a later Join control re-announces it at the cluster's current
-// round (the cluster calls both only between Run invocations).
-func (fa *flowAgent) runSync() {
-	defer close(fa.done)
-	reportsSeen := make(map[int]map[model.NodeID]bool)
-
-	for {
-		// Process a pending departure.
-		if fa.leaving {
-			fa.leaving = false
-			if !fa.idle {
-				_ = fa.announce(fa.round, 0, false)
-				fa.idle = true
-			}
-		}
-
-		// Pause until allowed to run this round, or idle until Join.
-		// Reports arriving here are still recorded: a node that computed
-		// our next round before seeing our (re)announce has already sent
-		// its report, and dropping the record would stall the barrier
-		// below.
-		for fa.runUntil < fa.round || fa.idle {
-			if !fa.handleOne(reportsSeen) {
-				return
-			}
-			if fa.idle {
-				// Track the cluster's round counter passively so a later
-				// Join resumes at the right round, and drop report records
-				// for rounds this agent sat out.
-				if fa.round <= fa.runUntil {
-					fa.round = fa.runUntil + 1
-					for r := range reportsSeen {
-						if r < fa.round {
-							delete(reportsSeen, r)
-						}
-					}
-				}
-				continue
-			}
-			if fa.leaving {
-				fa.leaving = false
-				_ = fa.announce(fa.round, 0, false)
-				fa.idle = true
-			}
-		}
-
-		if err := fa.announce(fa.round, fa.computeRate(), true); err != nil {
-			return
-		}
-		fa.recordProgress(fa.round, 0)
-
-		// Await this round's reports from every peer node. A Leave
-		// arriving mid-round finishes the handshake first so peers are
-		// not left waiting.
-		for len(reportsSeen[fa.round]) < fa.peerCount {
-			if !fa.handleOne(reportsSeen) {
-				return
-			}
-		}
-		delete(reportsSeen, fa.round)
-		fa.round++
-	}
-}
-
-// runStale is the bounded-staleness round loop: the agent announces round
-// t as soon as every peer's freshest report is at most `staleness` rounds
-// behind (round t-1 exactly when staleness is 0 — which reduces to the
-// barrier-synchronous schedule), instead of waiting for the full round
-// t-1 report set. Reports are absorbed with a strictly-newer guard so
-// duplicate resends cannot skew the Section 3.5 price averages, and a
-// resend timer re-announces the latest rate while stalled so dropped
-// frames cannot deadlock the cluster.
+// runStale is the Sync-mode round loop. It blocks until a Stop control
+// or transport shutdown. The agent announces round t as soon as every
+// peer's freshest report is at most `staleness` rounds behind (round t-1
+// exactly when staleness is 0: the barrier schedule). Reports are
+// absorbed with a strictly-newer guard so duplicate resends cannot skew
+// the Section 3.5 price averages, and a resend timer re-announces the
+// latest rate while stalled so dropped frames cannot deadlock the
+// cluster. A Leave control makes the agent announce departure and idle; a
+// later Join control resumes it at the cluster's next round (the cluster
+// sends both only between Run invocations).
 func (fa *flowAgent) runStale() {
 	defer close(fa.done)
 	reportRound := make(map[model.NodeID]int, len(fa.peerNodes))
 	lastRound, lastRate := 0, 0.0
 	backoff := fa.resend
-	timer, timerC := newResendTimer(fa.resend)
-	defer stopResendTimer(timer)
+	timer := time.NewTimer(fa.resend)
+	defer timer.Stop()
 
 	for {
 		// Announce every round currently permitted by the staleness bound.
@@ -341,7 +271,7 @@ func (fa *flowAgent) runStale() {
 			fa.round++
 			announced = true
 		}
-		if announced && timer != nil {
+		if announced {
 			// Progress: push the resend deadline out so chirps fire only
 			// after a genuine stall, not on a periodic schedule (a periodic
 			// chirp from every agent of a large cluster is a message storm).
@@ -367,7 +297,7 @@ func (fa *flowAgent) runStale() {
 			if !fa.handleStale(m, reportRound) {
 				return
 			}
-		case <-timerC:
+		case <-timer.C:
 			// Stalled: re-announce the freshest rate so peers (and the
 			// collector) that lost the original frame can catch up. Repeated
 			// stalls back off exponentially — when the whole cluster is slow
@@ -410,8 +340,8 @@ func (fa *flowAgent) canAnnounce(reportRound map[model.NodeID]int) bool {
 	return true
 }
 
-// handleStale processes one inbound message for the bounded-staleness
-// loop, returning false on shutdown.
+// handleStale processes one inbound message for the Sync loop,
+// returning false on shutdown.
 func (fa *flowAgent) handleStale(m transport.Message, reportRound map[model.NodeID]int) bool {
 	switch m.Kind {
 	case ctrlKind:
@@ -486,51 +416,6 @@ func (fa *flowAgent) observedLag(reportRound map[model.NodeID]int) int {
 	return lag
 }
 
-// handleOne processes a single inbound message, returning false on
-// shutdown. When seen is non-nil, node reports are tallied per round.
-func (fa *flowAgent) handleOne(seen map[int]map[model.NodeID]bool) bool {
-	m, ok := <-fa.ep.Recv()
-	if !ok {
-		return false
-	}
-	switch m.Kind {
-	case ctrlKind:
-		cm, err := decodeCtrl(m)
-		if err != nil {
-			return true
-		}
-		if cm.Stop {
-			return false
-		}
-		if cm.Leave && !fa.idle {
-			fa.leaving = true
-		}
-		if cm.Join && fa.idle {
-			fa.idle = false
-			if fa.round <= fa.runUntil {
-				fa.round = fa.runUntil + 1
-			}
-		}
-		if cm.RunUntil > fa.runUntil {
-			fa.runUntil = cm.RunUntil
-		}
-	case reportKind:
-		rm, err := decodeReport(m)
-		if err != nil {
-			return true
-		}
-		fa.absorbReport(rm)
-		fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
-		if seen != nil {
-			if seen[rm.Round] == nil {
-				seen[rm.Round] = make(map[model.NodeID]bool)
-			}
-			seen[rm.Round][rm.Node] = true
-		}
-	}
-	return true
-}
-
 // runAsync ticks on a timer, announcing rates computed from the latest
 // absorbed reports.
 func (fa *flowAgent) runAsync() {
@@ -577,21 +462,5 @@ func (fa *flowAgent) runAsync() {
 			fa.recordProgress(fa.round, 0)
 			fa.round++
 		}
-	}
-}
-
-// newResendTimer returns a timer (and its channel) firing after d, or a
-// nil channel that never fires when resends are disabled (d <= 0).
-func newResendTimer(d time.Duration) (*time.Timer, <-chan time.Time) {
-	if d <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(d)
-	return t, t.C
-}
-
-func stopResendTimer(t *time.Timer) {
-	if t != nil {
-		t.Stop()
 	}
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -24,7 +23,6 @@ const DefaultFlushInterval = 200 * time.Microsecond
 // per-agent ports.
 type gateway struct {
 	ep         transport.Endpoint
-	wire       transport.Wire
 	route      map[string]string // agent endpoint name -> host endpoint name
 	coalesce   bool              // keep only the freshest (from,to,kind) per epoch
 	flushEvery time.Duration
@@ -44,13 +42,12 @@ type coalesceKey struct {
 	from, to, kind string
 }
 
-func newGateway(ep transport.Endpoint, wire transport.Wire, route map[string]string, coalesce bool, flushEvery time.Duration, tel *telemetry.DistMetrics, rec *recorder) *gateway {
+func newGateway(ep transport.Endpoint, route map[string]string, coalesce bool, flushEvery time.Duration, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	if flushEvery <= 0 {
 		flushEvery = DefaultFlushInterval
 	}
 	g := &gateway{
 		ep:         ep,
-		wire:       wire,
 		route:      route,
 		coalesce:   coalesce,
 		flushEvery: flushEvery,
@@ -150,11 +147,7 @@ func (g *gateway) flush() {
 	for dst, msgs := range staged {
 		total += len(msgs)
 		g.tel.ObserveFlushFrame(len(msgs))
-		payload, err := encodeBatch(g.wire, msgs)
-		if err != nil {
-			continue
-		}
-		_ = g.ep.Send(transport.Message{From: from, To: dst, Kind: batchKind, Payload: payload})
+		_ = g.ep.Send(transport.Message{From: from, To: dst, Kind: batchKind, Payload: encodeBatch(msgs)})
 	}
 	g.tel.ObserveFlush(total)
 	g.rec.record(EvFlush, 0, int64(total), int64(len(staged)))
@@ -263,41 +256,22 @@ func (p *hostPort) enqueueLocked(msg transport.Message) error {
 	}
 }
 
-// encodeBatch packs whole messages into one payload. The binary layout is
-// the concatenation of transport.AppendMessage frames (first byte 'B');
-// the JSON layout is a plain message array (first byte '['), so receivers
-// distinguish them from the first payload byte.
-func encodeBatch(wire transport.Wire, msgs []transport.Message) ([]byte, error) {
-	if wire == transport.WireBinary {
-		size := 0
-		for i := range msgs {
-			size += transport.BinarySize(&msgs[i])
-		}
-		payload := make([]byte, 0, size)
-		for i := range msgs {
-			payload = transport.AppendMessage(payload, &msgs[i])
-		}
-		return payload, nil
+// encodeBatch packs whole messages into one payload: the concatenation
+// of their transport.AppendMessage encodings.
+func encodeBatch(msgs []transport.Message) []byte {
+	size := 0
+	for i := range msgs {
+		size += transport.BinarySize(&msgs[i])
 	}
-	payload, err := json.Marshal(msgs)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode batch: %w", err)
+	payload := make([]byte, 0, size)
+	for i := range msgs {
+		payload = transport.AppendMessage(payload, &msgs[i])
 	}
-	return payload, nil
+	return payload
 }
 
-// decodeBatch unpacks a batch payload in either layout.
+// decodeBatch unpacks a batch payload.
 func decodeBatch(payload []byte) ([]transport.Message, error) {
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	if payload[0] == '[' {
-		var msgs []transport.Message
-		if err := json.Unmarshal(payload, &msgs); err != nil {
-			return nil, fmt.Errorf("dist: decode batch: %w", err)
-		}
-		return msgs, nil
-	}
 	var msgs []transport.Message
 	for off := 0; off < len(payload); {
 		m, n, err := transport.DecodeMessage(payload[off:])

@@ -8,8 +8,9 @@
 // Two execution modes are provided:
 //
 //   - Synchronous (the paper's main formulation): agents proceed in
-//     lock-step rounds, each waiting for the full set of round-t inputs
-//     before computing round t (or t+1) outputs.
+//     numbered rounds. With Staleness 0 each waits for the full set of
+//     round-t inputs before computing round t (or t+1) outputs; with
+//     Staleness K it may use inputs up to K rounds old.
 //   - Asynchronous (Section 3.5): agents run on independent tickers using
 //     the latest values received, with flow sources averaging the last few
 //     prices from each resource to tolerate missing or stale updates.
@@ -17,7 +18,6 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/model"
@@ -74,79 +74,56 @@ func itoa(v int) string {
 // rateMsg announces a flow's rate for one round (flow agent -> node agents
 // and collector).
 type rateMsg struct {
-	Round int          `json:"round"`
-	Flow  model.FlowID `json:"flow"`
-	Rate  float64      `json:"rate"`
+	Round int
+	Flow  model.FlowID
+	Rate  float64
 	// Active false announces the flow's departure: this is the flow's
 	// final message, and receivers must stop expecting it afterwards.
-	Active bool `json:"active"`
+	Active bool
 }
 
 // reportMsg carries a node's consumer allocation and prices for one round
 // (node agent -> flow agents and collector).
 type reportMsg struct {
-	Round int          `json:"round"`
-	Node  model.NodeID `json:"node"`
-	Price float64      `json:"price"`
+	Round int
+	Node  model.NodeID
+	Price float64
 	// Populations holds n_j for the classes attached at this node.
-	Populations map[model.ClassID]int `json:"populations,omitempty"`
+	Populations map[model.ClassID]int
 	// Deliveries holds d_j for the classes attached at this node
 	// (multirate mode only; absent in single-rate mode, where d_j = r_i).
-	Deliveries map[model.ClassID]float64 `json:"deliveries,omitempty"`
+	Deliveries map[model.ClassID]float64
 	// LinkPrices holds the prices of the links this node owns (links
 	// whose To endpoint is this node).
-	LinkPrices map[model.LinkID]float64 `json:"linkPrices,omitempty"`
+	LinkPrices map[model.LinkID]float64
 	// Used and BestBC expose the Equation 12 inputs for observability.
-	Used   float64 `json:"used"`
-	BestBC float64 `json:"bestBC"`
+	Used   float64
+	BestBC float64
 }
 
 // ctrlMsg drives agents from the cluster.
 type ctrlMsg struct {
 	// RunUntil lets a synchronous flow agent advance up to (and
 	// including) the given round, then pause.
-	RunUntil int `json:"runUntil,omitempty"`
+	RunUntil int
 	// Leave tells a flow agent to announce departure and idle (it can
 	// rejoin later).
-	Leave bool `json:"leave,omitempty"`
+	Leave bool
 	// Join tells an idled flow agent to re-announce itself and resume.
-	Join bool `json:"join,omitempty"`
+	Join bool
 	// Stop tells any agent to exit immediately.
-	Stop bool `json:"stop,omitempty"`
+	Stop bool
 }
 
-// Binary payload encoding. Every dist payload has a compact binary layout
-// alongside its JSON one; the first payload byte distinguishes them ('{'
-// opens JSON, a type tag below opens binary), so mixed-wire clusters
-// interoperate. Layouts use uvarints for ids/rounds/counts and fixed
-// 8-byte floats (transport.AppendFloat64).
+// Payload encoding. Every dist payload opens with a type tag below,
+// followed by uvarints for ids/rounds/counts and fixed 8-byte floats
+// (transport.AppendFloat64). Encoding is pure appends: callers passing a
+// reusable buffer get a 0 alloc/op steady state.
 const (
 	rateTag   = 0x01
 	reportTag = 0x02
 	ctrlTag   = 0x03
 )
-
-// encodeBody encodes a dist payload in the given wire format. The binary
-// path is pure appends: callers passing a reusable buffer get a 0 alloc/op
-// steady state.
-func encodeBody(wire transport.Wire, buf []byte, v any) ([]byte, error) {
-	if wire == transport.WireBinary {
-		switch b := v.(type) {
-		case rateMsg:
-			return b.appendBinary(buf), nil
-		case reportMsg:
-			return b.appendBinary(buf), nil
-		case ctrlMsg:
-			return b.appendBinary(buf), nil
-		}
-		// Fall through for types without a binary layout.
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode: %w", err)
-	}
-	return append(buf, data...), nil
-}
 
 func (rm rateMsg) appendBinary(dst []byte) []byte {
 	dst = append(dst, rateTag)
@@ -161,9 +138,6 @@ func (rm rateMsg) appendBinary(dst []byte) []byte {
 
 func decodeRate(m transport.Message) (rateMsg, error) {
 	var rm rateMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return rm, transport.Decode(m, &rm)
-	}
 	c := transport.Cursor{Data: m.Payload}
 	if tag := c.Byte(); tag != rateTag && c.Err() == nil {
 		return rm, fmt.Errorf("%w: rate tag 0x%02x", transport.ErrCorruptFrame, tag)
@@ -208,9 +182,6 @@ func (rm reportMsg) appendBinary(dst []byte) []byte {
 
 func decodeReport(m transport.Message) (reportMsg, error) {
 	var rm reportMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return rm, transport.Decode(m, &rm)
-	}
 	c := transport.Cursor{Data: m.Payload}
 	if tag := c.Byte(); tag != reportTag && c.Err() == nil {
 		return rm, fmt.Errorf("%w: report tag 0x%02x", transport.ErrCorruptFrame, tag)
@@ -220,8 +191,8 @@ func decodeReport(m transport.Message) (reportMsg, error) {
 	rm.Price = c.Float64()
 	rm.Used = c.Float64()
 	rm.BestBC = c.Float64()
-	// Count-0 sections decode to nil maps, matching JSON omitempty
-	// round-trip semantics. Counts are bounded by the remaining payload
+	// Count-0 sections decode to nil maps, so an encoded nil or empty
+	// map round-trips to nil. Counts are bounded by the remaining payload
 	// size (each entry is at least 2 bytes) before allocating.
 	if n := c.Int(); n > 0 && c.Err() == nil {
 		if n > c.Rest()/2 {
@@ -280,9 +251,6 @@ func (cm ctrlMsg) appendBinary(dst []byte) []byte {
 
 func decodeCtrl(m transport.Message) (ctrlMsg, error) {
 	var cm ctrlMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return cm, transport.Decode(m, &cm)
-	}
 	c := transport.Cursor{Data: m.Payload}
 	if tag := c.Byte(); tag != ctrlTag && c.Err() == nil {
 		return cm, fmt.Errorf("%w: ctrl tag 0x%02x", transport.ErrCorruptFrame, tag)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -10,8 +11,7 @@ import (
 )
 
 // distPayloadCases enumerates representative dist payloads, including the
-// map-edge cases (empty vs omitted) whose JSON omitempty semantics the
-// binary codec must reproduce exactly.
+// map-edge cases (nil vs non-empty).
 func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) {
 	rates = []rateMsg{
 		{},
@@ -47,39 +47,27 @@ func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) 
 }
 
 // TestDistPayloadRoundTrip is the codec property test: every payload must
-// decode to identical values through both wire formats, and the binary
-// decoding must equal the JSON decoding (nil-vs-empty maps included).
+// decode to identical values (nil maps included).
 func TestDistPayloadRoundTrip(t *testing.T) {
 	rates, reports, ctrls := distPayloadCases()
-	roundTrip := func(t *testing.T, v any, decode func(transport.Message) (any, error)) {
+	roundTrip := func(t *testing.T, v any, payload []byte, decode func(transport.Message) (any, error)) {
 		t.Helper()
-		var decoded [2]any
-		for i, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-			payload, err := encodeBody(wire, nil, v)
-			if err != nil {
-				t.Fatalf("%v encode: %v", wire, err)
-			}
-			got, err := decode(transport.Message{Payload: payload})
-			if err != nil {
-				t.Fatalf("%v decode: %v", wire, err)
-			}
-			if !reflect.DeepEqual(got, v) {
-				t.Fatalf("%v round trip: got %+v, want %+v", wire, got, v)
-			}
-			decoded[i] = got
+		got, err := decode(transport.Message{Payload: payload})
+		if err != nil {
+			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(decoded[0], decoded[1]) {
-			t.Fatalf("wire formats disagree: json %+v, binary %+v", decoded[0], decoded[1])
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("round trip: got %+v, want %+v", got, v)
 		}
 	}
 	for _, rm := range rates {
-		roundTrip(t, rm, func(m transport.Message) (any, error) { return decodeRate(m) })
+		roundTrip(t, rm, rm.appendBinary(nil), func(m transport.Message) (any, error) { return decodeRate(m) })
 	}
 	for _, rm := range reports {
-		roundTrip(t, rm, func(m transport.Message) (any, error) { return decodeReport(m) })
+		roundTrip(t, rm, rm.appendBinary(nil), func(m transport.Message) (any, error) { return decodeReport(m) })
 	}
 	for _, cm := range ctrls {
-		roundTrip(t, cm, func(m transport.Message) (any, error) { return decodeCtrl(m) })
+		roundTrip(t, cm, cm.appendBinary(nil), func(m transport.Message) (any, error) { return decodeCtrl(m) })
 	}
 }
 
@@ -105,33 +93,37 @@ func TestDistPayloadDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeReport(transport.Message{Payload: huge}); err == nil {
 		t.Error("oversized population count accepted")
 	}
+	// JSON payloads of the retired wire format are corrupt frames.
+	for _, p := range [][]byte{[]byte(`{"round":1,"flow":0,"rate":2,"active":true}`), []byte(`[]`)} {
+		m := transport.Message{Payload: p}
+		if _, err := decodeRate(m); !errors.Is(err, transport.ErrCorruptFrame) {
+			t.Errorf("decodeRate(%s) = %v, want ErrCorruptFrame", p, err)
+		}
+		if _, err := decodeReport(m); !errors.Is(err, transport.ErrCorruptFrame) {
+			t.Errorf("decodeReport(%s) = %v, want ErrCorruptFrame", p, err)
+		}
+		if _, err := decodeCtrl(m); !errors.Is(err, transport.ErrCorruptFrame) {
+			t.Errorf("decodeCtrl(%s) = %v, want ErrCorruptFrame", p, err)
+		}
+		if _, err := decodeBatch(p); !errors.Is(err, transport.ErrCorruptFrame) {
+			t.Errorf("decodeBatch(%s) = %v, want ErrCorruptFrame", p, err)
+		}
+	}
 }
 
-// TestEncodeDecodeBatch round-trips gateway batch frames in both layouts.
-// A batch's inner payloads use the same wire as its envelope (the JSON
-// array layout cannot carry non-JSON payloads: Payload is json.RawMessage),
-// which holds by construction since a cluster runs one wire format.
+// TestEncodeDecodeBatch round-trips a gateway batch frame.
 func TestEncodeDecodeBatch(t *testing.T) {
-	for _, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-		rate, _ := encodeBody(wire, nil, rateMsg{Round: 3, Flow: 1, Rate: 2.5, Active: true})
-		report, _ := encodeBody(wire, nil, reportMsg{Round: 3, Node: 0, Price: 1.5})
-		ctrl, _ := encodeBody(wire, nil, ctrlMsg{Stop: true})
-		msgs := []transport.Message{
-			{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rate},
-			{From: "node/0", To: "flow/1", Kind: reportKind, Payload: report},
-			{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: ctrl},
-		}
-		payload, err := encodeBatch(wire, msgs)
-		if err != nil {
-			t.Fatalf("%v: %v", wire, err)
-		}
-		got, err := decodeBatch(payload)
-		if err != nil {
-			t.Fatalf("%v: %v", wire, err)
-		}
-		if !reflect.DeepEqual(got, msgs) {
-			t.Fatalf("%v batch round trip: got %+v, want %+v", wire, got, msgs)
-		}
+	msgs := []transport.Message{
+		{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rateMsg{Round: 3, Flow: 1, Rate: 2.5, Active: true}.appendBinary(nil)},
+		{From: "node/0", To: "flow/1", Kind: reportKind, Payload: reportMsg{Round: 3, Node: 0, Price: 1.5}.appendBinary(nil)},
+		{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: ctrlMsg{Stop: true}.appendBinary(nil)},
+	}
+	got, err := decodeBatch(encodeBatch(msgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("batch round trip: got %+v, want %+v", got, msgs)
 	}
 	if got, err := decodeBatch(nil); err != nil || got != nil {
 		t.Errorf("empty batch: %v, %v", got, err)
@@ -139,7 +131,7 @@ func TestEncodeDecodeBatch(t *testing.T) {
 }
 
 // FuzzDecodeDistPayloads throws arbitrary bytes at every dist payload
-// decoder: none may panic or over-read, and any successfully decoded binary
+// decoder: none may panic or over-read, and any successfully decoded
 // payload must survive a canonical re-encode/decode round trip.
 func FuzzDecodeDistPayloads(f *testing.F) {
 	rates, reports, ctrls := distPayloadCases()
@@ -154,34 +146,26 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := transport.Message{Payload: data}
-		binary := len(data) > 0 && data[0] != '{'
-		if rm, err := decodeRate(m); err == nil && binary {
+		if rm, err := decodeRate(m); err == nil {
 			again, err := decodeRate(transport.Message{Payload: rm.appendBinary(nil)})
 			if err != nil || !reflect.DeepEqual(again, rm) {
 				t.Fatalf("rate re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
-		if rm, err := decodeReport(m); err == nil && binary {
+		if rm, err := decodeReport(m); err == nil {
 			again, err := decodeReport(transport.Message{Payload: rm.appendBinary(nil)})
 			if err != nil || !reflect.DeepEqual(again, rm) {
 				t.Fatalf("report re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
-		if cm, err := decodeCtrl(m); err == nil && binary {
+		if cm, err := decodeCtrl(m); err == nil {
 			again, err := decodeCtrl(transport.Message{Payload: cm.appendBinary(nil)})
 			if err != nil || !reflect.DeepEqual(again, cm) {
 				t.Fatalf("ctrl re-encode mismatch: %+v vs %+v (%v)", again, cm, err)
 			}
 		}
-		// The batch oracle covers the binary envelope layout only: a JSON
-		// array batch may decode an empty payload as non-nil, which the
-		// canonical binary re-decode represents as nil.
-		if msgs, err := decodeBatch(data); err == nil && binary && data[0] != '[' {
-			payload, err := encodeBatch(transport.WireBinary, msgs)
-			if err != nil {
-				t.Fatalf("batch re-encode: %v", err)
-			}
-			again, err := decodeBatch(payload)
+		if msgs, err := decodeBatch(data); err == nil {
+			again, err := decodeBatch(encodeBatch(msgs))
 			if err != nil || !reflect.DeepEqual(again, msgs) {
 				t.Fatalf("batch re-encode mismatch (%v)", err)
 			}

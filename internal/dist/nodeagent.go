@@ -48,7 +48,6 @@ type nodeAgent struct {
 	linkPrices map[model.LinkID]float64
 	inactive   map[model.FlowID]bool
 	tickEvery  time.Duration
-	wire       transport.Wire
 	staleness  int           // bounded-staleness window (runStale only)
 	resend     time.Duration // re-broadcast interval when stalled (runStale)
 
@@ -78,7 +77,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transpor
 		linkPrices: make(map[model.LinkID]float64),
 		inactive:   make(map[model.FlowID]bool),
 		tickEvery:  c.Tick,
-		wire:       c.Wire,
 		staleness:  c.Staleness,
 		resend:     c.Resend,
 		done:       make(chan struct{}),
@@ -169,10 +167,7 @@ func (na *nodeAgent) compute(round int) reportMsg {
 // flowAgent.announce, only a closed transport is fatal; lossy-delivery
 // failures are tolerated.
 func (na *nodeAgent) broadcast(rm reportMsg) error {
-	payload, err := encodeBody(na.wire, nil, rm)
-	if err != nil {
-		return err
-	}
+	payload := rm.appendBinary(nil)
 	from := na.ep.Name()
 	// Inactive flows are reported to as well: a rejoining flow's first
 	// announce can race this node's round computation (the node learns of
@@ -242,99 +237,14 @@ func (na *nodeAgent) observedLag(t int, latest map[model.FlowID]int) int {
 	return lag
 }
 
-// activeCount returns how many expected flows are still active.
-func (na *nodeAgent) activeCount() int {
-	n := 0
-	for i := range na.expected {
-		if !na.inactive[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// runSync reacts to rate announcements in lock-step rounds: once all
-// active expected flows have announced round t, it computes and broadcasts
-// its round-t report.
-func (na *nodeAgent) runSync() {
-	defer close(na.done)
-	pending := make(map[int]map[model.FlowID]bool)
-	nextRound := 1
-
-	for {
-		m, ok := <-na.ep.Recv()
-		if !ok {
-			return
-		}
-		switch m.Kind {
-		case ctrlKind:
-			cm, err := decodeCtrl(m)
-			if err != nil {
-				continue
-			}
-			if cm.Stop {
-				return
-			}
-		case rateKind:
-			rm, err := decodeRate(m)
-			if err != nil {
-				continue
-			}
-			if !na.expected[rm.Flow] {
-				continue
-			}
-			if !rm.Active {
-				na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
-				if !na.inactive[rm.Flow] {
-					na.markInactive(rm.Flow)
-				}
-				// A departure may complete pending rounds.
-			} else {
-				if na.inactive[rm.Flow] {
-					// Rejoin (only legal between Run calls, when no
-					// rounds are pending; see Cluster.JoinFlow).
-					na.markActive(rm.Flow)
-				}
-				na.rates[rm.Flow] = rm.Rate
-				na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
-				if pending[rm.Round] == nil {
-					pending[rm.Round] = make(map[model.FlowID]bool)
-				}
-				pending[rm.Round][rm.Flow] = true
-			}
-			// Rounds must be processed in order: the price update is
-			// sequential state. Complete rounds from nextRound upward
-			// while each has a full active set.
-			for na.activeCount() > 0 {
-				got := 0
-				for i := range pending[nextRound] {
-					if !na.inactive[i] {
-						got++
-					}
-				}
-				if got < na.activeCount() {
-					break
-				}
-				report := na.compute(nextRound)
-				if err := na.broadcast(report); err != nil {
-					return
-				}
-				na.recordProgress(nextRound, 0)
-				delete(pending, nextRound)
-				nextRound++
-			}
-		}
-	}
-}
-
-// runStale is the bounded-staleness round loop: the node computes round t
-// as soon as (a) at least one flow has actually announced round t and (b)
+// runStale is the Sync-mode round loop: the node computes round t as
+// soon as (a) at least one flow has actually announced round t and (b)
 // every active expected flow's freshest rate is at most `staleness` rounds
 // behind t, using the latest absorbed rate for each flow. With staleness 0
-// this reduces exactly to the barrier schedule (every flow must have
-// announced round t, and its latest rate then is its round-t rate). A
-// resend timer re-broadcasts the latest report while idle so dropped
-// report frames cannot deadlock flows or starve the collector.
+// this is the barrier schedule (every flow must have announced round t,
+// and its latest rate then is its round-t rate). A resend timer
+// re-broadcasts the latest report while idle so dropped report frames
+// cannot deadlock flows or starve the collector.
 func (na *nodeAgent) runStale() {
 	defer close(na.done)
 	latest := make(map[model.FlowID]int, len(na.expected)) // freshest announced round per flow
@@ -342,8 +252,8 @@ func (na *nodeAgent) runStale() {
 	var lastReport reportMsg
 	haveReport := false
 	backoff := na.resend
-	timer, timerC := newResendTimer(na.resend)
-	defer stopResendTimer(timer)
+	timer := time.NewTimer(na.resend)
+	defer timer.Stop()
 
 	for {
 		select {
@@ -385,7 +295,7 @@ func (na *nodeAgent) runStale() {
 					}
 				}
 			}
-		case <-timerC:
+		case <-timer.C:
 			// Chirp with exponential backoff; see flowAgent.runStale.
 			if haveReport {
 				if err := na.broadcast(lastReport); err != nil {
@@ -418,7 +328,7 @@ func (na *nodeAgent) runStale() {
 			nextRound++
 			computed = true
 		}
-		if computed && timer != nil {
+		if computed {
 			// Progress: defer the re-broadcast so it fires only after a
 			// genuine stall (see flowAgent.runStale).
 			backoff = na.resend

@@ -215,10 +215,46 @@ func TestStallDetectorTripsMidRun(t *testing.T) {
 	cl.Close()
 }
 
+// roundTrigger wraps a network so a test can inject a fault at a round
+// boundary instead of after a wall-clock sleep, which a loaded host can
+// land before the run starts or after the target agent has finished:
+// fire runs once, when agent `from` first sends a rate for round `round`
+// or later, before that frame is delivered.
+type roundTrigger struct {
+	transport.Network
+	from  string
+	round int
+	once  sync.Once
+	fire  func()
+}
+
+func (n *roundTrigger) Endpoint(name string) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(name)
+	if err != nil || name != n.from {
+		return ep, err
+	}
+	return &triggerEndpoint{Endpoint: ep, n: n}, nil
+}
+
+type triggerEndpoint struct {
+	transport.Endpoint
+	n *roundTrigger
+}
+
+func (e *triggerEndpoint) Send(msg transport.Message) error {
+	if msg.Kind == rateKind {
+		if rm, err := decodeRate(msg); err == nil && rm.Round >= e.n.round {
+			e.n.once.Do(e.n.fire)
+		}
+	}
+	return e.Endpoint.Send(msg)
+}
+
 // TestTraceAnalyzeThousandAgents is the end-to-end acceptance run: 1008
-// agents under 10% loss, one flow agent partitioned off mid-run and
-// healed. The merged flight-recorder log must rank exactly that agent as
-// the top straggler and attribute repair traffic to the stall window.
+// agents under 10% loss, one flow agent partitioned off mid-run (from
+// its round-10 announce, for 400ms) and healed. The merged
+// flight-recorder log must rank exactly that agent as the top straggler
+// and attribute repair traffic to the stall window.
 func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	p := workload.Scaled(workload.Config{FlowCopies: 112})
 	if agents := len(p.Flows) + len(p.Nodes); agents < 1000 {
@@ -230,44 +266,36 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	defer net.Close()
 	net.SetDropRate(0.10, 1)
 	net.SetDropExempt("cluster-ctrl")
+	injected := make(chan struct{})
+	trig := &roundTrigger{Network: net, from: flowName(straggler), round: 10, fire: func() {
+		net.SetPartition(flowName(straggler), 9)
+		close(injected)
+		time.AfterFunc(400*time.Millisecond, net.ClearPartitions)
+	}}
 
 	cl, err := New(p, Config{
 		Core:       core.Config{Adaptive: true},
-		Wire:       transport.WireBinary,
 		Staleness:  2,
 		Resend:     5 * time.Millisecond,
 		Record:     true,
 		RecordSize: 1024,
-	}, net)
+	}, trig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	// Run in the background; the RunUntil controls are all sent before
-	// waitRound blocks, so fault injection after a short delay cannot
-	// lose them.
-	type runResult struct {
-		stats []RoundStats
-		err   error
+	stats, err := cl.Run(60, 4*time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resCh := make(chan runResult, 1)
-	go func() {
-		stats, err := cl.Run(60, 4*time.Minute)
-		resCh <- runResult{stats, err}
-	}()
-
-	time.Sleep(50 * time.Millisecond)
-	net.SetPartition(flowName(straggler), 9)
-	time.Sleep(400 * time.Millisecond)
-	net.ClearPartitions()
-
-	res := <-resCh
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	if len(res.stats) == 0 {
+	if len(stats) == 0 {
 		t.Fatal("no rounds completed")
+	}
+	select {
+	case <-injected:
+	default:
+		t.Fatal("run finished without the partition being injected")
 	}
 
 	var buf bytes.Buffer
@@ -293,8 +321,11 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	if !raceEnabled {
 		top := a.Agents[0]
 		if top.Agent != flowName(straggler) {
-			t.Errorf("top straggler = %s (behind %dns, maxlag %d), want %s",
-				top.Agent, top.BehindNanos, top.MaxLag, flowName(straggler))
+			t.Errorf("top straggler = %s (blame %dns, behind %dns, maxlag %d), want %s",
+				top.Agent, top.BlameNanos, top.BehindNanos, top.MaxLag, flowName(straggler))
+		}
+		if top.BlameNanos == 0 {
+			t.Error("straggler BlameNanos = 0")
 		}
 		if top.BehindNanos == 0 {
 			t.Error("straggler BehindNanos = 0")

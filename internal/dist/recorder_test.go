@@ -240,6 +240,78 @@ func TestAnalyzeFindsStraggler(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBlamesCutOffAgent builds a synthetic log where flow/1 is cut
+// off after announcing round 2: it keeps chirping, nothing it sends
+// arrives, and it hears nothing, while node/0 (which needs flow/1's rate)
+// and flow/0 (which needs node/0's report) wait. flow/1 is never behind
+// its component's frontier, since everyone stalls with it, yet every
+// wait roots at it: the analyzer must charge the waits to flow/1 and
+// rank it first, and charge nothing to the agents that merely waited.
+func TestAnalyzeBlamesCutOffAgent(t *testing.T) {
+	const us = int64(1000)
+	var recs []EventRecord
+	add := func(agent string, ns int64, ev string, round int, a int64) {
+		recs = append(recs, EventRecord{Agent: agent, Seq: uint64(len(recs)), Nanos: ns * us, Ev: ev, Round: round, A: a})
+	}
+	// Round 1 completes everywhere.
+	add("flow/0", 10, "send", 1, 0)
+	add("flow/0", 10, "round", 1, 0)
+	add("flow/1", 10, "send", 1, 0)
+	add("flow/1", 10, "round", 1, 0)
+	add("node/0", 11, "absorb", 1, 0) // rate from flow/0
+	add("node/0", 11, "absorb", 1, 1) // rate from flow/1
+	add("node/0", 11, "send", 1, 0)
+	add("node/0", 11, "round", 1, 0)
+	add("flow/0", 12, "absorb", 1, 0) // report from node/0
+	add("flow/1", 12, "absorb", 1, 0)
+	// Round 2: flow/1's announce is lost, and so are its chirps.
+	add("flow/0", 20, "send", 2, 0)
+	add("flow/0", 20, "round", 2, 0)
+	add("flow/1", 20, "send", 2, 0)
+	add("flow/1", 20, "round", 2, 0)
+	add("node/0", 21, "absorb", 2, 0)
+	for _, ns := range []int64{40, 60, 80} {
+		add("flow/1", ns, "resend", 2, 0)
+	}
+	// flow/0 and node/0 keep hearing each other's chirps meanwhile.
+	for _, ns := range []int64{45, 70, 90} {
+		add("flow/0", ns, "resend", 2, 0)
+		add("node/0", ns+1, "recv", 2, 0)
+	}
+	// The cut heals: node/0 hears flow/1 and everyone advances.
+	add("node/0", 100, "absorb", 2, 1)
+	add("node/0", 100, "send", 2, 0)
+	add("node/0", 100, "round", 2, 0)
+	add("flow/0", 101, "absorb", 2, 0)
+	add("flow/0", 101, "send", 3, 0)
+	add("flow/0", 101, "round", 3, 0)
+	add("flow/1", 101, "absorb", 2, 0)
+	add("flow/1", 101, "send", 3, 0)
+	add("flow/1", 101, "round", 3, 0)
+
+	a := Analyze(recs)
+	if len(a.Agents) != 3 {
+		t.Fatalf("%d agents, want 3", len(a.Agents))
+	}
+	top := a.Agents[0]
+	if top.Agent != "flow/1" {
+		t.Fatalf("top straggler = %s (blame %dns), want flow/1", top.Agent, top.BlameNanos)
+	}
+	// node/0's wait for round 2, and flow/0's and flow/1's waits for
+	// round 3 through it, each root at flow/1's cut-off transit [20, 100].
+	if want := 3 * 80 * us; top.BlameNanos != want {
+		t.Errorf("flow/1 BlameNanos = %d, want %d", top.BlameNanos, want)
+	}
+	if top.BehindNanos != 0 {
+		t.Errorf("flow/1 BehindNanos = %d, want 0 (it never falls behind)", top.BehindNanos)
+	}
+	for _, ag := range a.Agents[1:] {
+		if ag.BlameNanos != 0 {
+			t.Errorf("%s BlameNanos = %d, want 0 (it only waited)", ag.Agent, ag.BlameNanos)
+		}
+	}
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
 	a := Analyze(nil)
 	if a.MaxRound != 0 || len(a.Agents) != 0 || len(a.Rounds) != 0 {

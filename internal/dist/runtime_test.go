@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -42,19 +46,90 @@ func requireIdentical(t *testing.T, tag string, got, want []RoundStats) {
 	}
 }
 
-// TestBinaryWireBitIdentical: the binary codec must change bytes on the
-// wire, not the computation — the trajectory is exactly the JSON one.
-func TestBinaryWireBitIdentical(t *testing.T) {
-	cfg := Config{Core: core.Config{Adaptive: true}}
-	netJ := transport.NewMemory()
-	defer netJ.Close()
-	ref := runTrajectory(t, cfg, netJ, 50)
+// goldenTrajectories reads testdata/barrier_trajectories.txt: per case,
+// the utility bits of every round the deleted barrier loop produced on the
+// JSON wire (see the file header for the recorded scenarios).
+func goldenTrajectories(t *testing.T) map[string][]RoundStats {
+	t.Helper()
+	data, err := os.ReadFile("testdata/barrier_trajectories.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]RoundStats)
+	var name string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if c, ok := strings.CutPrefix(line, "case "); ok {
+			name = c
+			continue
+		}
+		var round int
+		var bits uint64
+		if _, err := fmt.Sscanf(line, "%d %x", &round, &bits); err != nil || name == "" {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		out[name] = append(out[name], RoundStats{Round: round, Utility: math.Float64frombits(bits)})
+	}
+	return out
+}
 
-	cfg.Wire = transport.WireBinary
-	netB := transport.NewMemory()
-	defer netB.Close()
-	got := runTrajectory(t, cfg, netB, 50)
-	requireIdentical(t, "binary vs json", got, ref)
+// runGolden replays one golden case's scenario on a fresh cluster over
+// net, in the same 4-round Run chunks the recording used.
+func runGolden(t *testing.T, name string, net transport.Network) []RoundStats {
+	t.Helper()
+	p := workload.Base()
+	cfg := Config{Core: core.Config{Adaptive: name != "base-fixed"}}
+	leaveAt, rounds := 0, 60
+	if name == "scaled-leave" {
+		p = workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2})
+		leaveAt, rounds = 100, 140
+	}
+	cl, err := New(p, cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var got []RoundStats
+	for done := 0; done < rounds; done += 4 {
+		if done == leaveAt && leaveAt > 0 {
+			for _, f := range []model.FlowID{1, 2, 5} {
+				if err := cl.RemoveFlow(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stats, err := cl.Run(4, 2*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, stats...)
+	}
+	return got
+}
+
+// TestStalenessZeroBitIdentical is the golden test for the round loop:
+// at K=0 its schedule must be the barrier schedule exactly, reproducing
+// the trajectories the deleted barrier loop recorded bit for bit (with
+// adaptive gamma on and off, and across a departure of three flows).
+func TestStalenessZeroBitIdentical(t *testing.T) {
+	golden := goldenTrajectories(t)
+	for _, name := range []string{"base-fixed", "base-adaptive", "scaled-leave"} {
+		net := transport.NewMemory()
+		got := runGolden(t, name, net)
+		net.Close()
+		requireIdentical(t, name, got, golden[name])
+	}
+}
+
+// TestBinaryWireBitIdentical: the binary codec changes bytes on the wire,
+// not the computation. Over TCP the trajectory is exactly the one the
+// barrier loop recorded on the JSON wire.
+func TestBinaryWireBitIdentical(t *testing.T) {
+	net := transport.NewTCP()
+	defer net.Close()
+	requireIdentical(t, "tcp vs golden", runGolden(t, "base-adaptive", net), goldenTrajectories(t)["base-adaptive"])
 }
 
 // TestBinaryWireOverTCP runs the binary codec through the real TCP framing
@@ -73,7 +148,7 @@ func TestBinaryWireOverTCP(t *testing.T) {
 
 	net := transport.NewTCP()
 	defer net.Close()
-	cl, err := New(p, Config{Core: core.Config{Adaptive: true}, Wire: transport.WireBinary}, net)
+	cl, err := New(p, Config{Core: core.Config{Adaptive: true}}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,42 +165,19 @@ func TestBinaryWireOverTCP(t *testing.T) {
 }
 
 // TestBatchedBitIdentical: gateway batching changes framing, not values —
-// the batched trajectory must exactly equal the unbatched one, for both
-// wire formats.
+// the batched trajectory must exactly equal the unbatched one.
 func TestBatchedBitIdentical(t *testing.T) {
-	for _, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-		cfg := Config{Core: core.Config{Adaptive: true}, Wire: wire}
-		netPlain := transport.NewMemory()
-		ref := runTrajectory(t, cfg, netPlain, 40)
-		netPlain.Close()
+	cfg := Config{Core: core.Config{Adaptive: true}}
+	netPlain := transport.NewMemory()
+	ref := runTrajectory(t, cfg, netPlain, 40)
+	netPlain.Close()
 
-		cfg.Batch = true
-		cfg.Hosts = 4
-		netBatch := transport.NewMemory()
-		got := runTrajectory(t, cfg, netBatch, 40)
-		netBatch.Close()
-		requireIdentical(t, "batched vs plain ("+wire.String()+")", got, ref)
-	}
-}
-
-// TestStalenessZeroBitIdentical is the golden test for the bounded-
-// staleness loop: with K=0 its schedule must collapse to the barrier
-// schedule exactly, producing a bit-identical trajectory to the legacy
-// synchronous loop.
-func TestStalenessZeroBitIdentical(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		cfg := Config{Core: core.Config{Adaptive: adaptive}}
-		netRef := transport.NewMemory()
-		ref := runTrajectory(t, cfg, netRef, 60)
-		netRef.Close()
-
-		// staleLoop forces the bounded-staleness code path at K=0.
-		cfg.staleLoop = true
-		netK0 := transport.NewMemory()
-		got := runTrajectory(t, cfg, netK0, 60)
-		netK0.Close()
-		requireIdentical(t, "staleness K=0 vs barrier", got, ref)
-	}
+	cfg.Batch = true
+	cfg.Hosts = 4
+	netBatch := transport.NewMemory()
+	got := runTrajectory(t, cfg, netBatch, 40)
+	netBatch.Close()
+	requireIdentical(t, "batched vs plain", got, ref)
 }
 
 // tailMeanDeviation returns the relative deviation of the mean utility of
@@ -144,10 +196,11 @@ func tailMeanDeviation(stats []RoundStats, want float64, n int) float64 {
 	return math.Abs(mean-want) / want
 }
 
-// TestStalenessConvergesUnderLoss: with K>0, 10% message loss and delivery
+// TestStalenessConvergesUnderLoss: with 10% message loss and delivery
 // delay, the cluster must still converge to the synchronous optimum within
 // 1% — the Section 3.5 claim, now on the round-structured (rather than
-// free-running) runtime.
+// free-running) runtime. K=0 (the barrier schedule) survives the loss
+// through resend chirps alone.
 func TestStalenessConvergesUnderLoss(t *testing.T) {
 	p := workload.Base()
 	ref, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
@@ -156,35 +209,36 @@ func TestStalenessConvergesUnderLoss(t *testing.T) {
 	}
 	want := ref.Solve(400).Utility
 
-	net := transport.NewMemory()
-	defer net.Close()
-	net.SetDropRate(0.10, 7)
-	net.SetDropExempt("cluster-ctrl")
-	net.SetDelay(200 * time.Microsecond)
+	for _, k := range []int{0, 1} {
+		net := transport.NewMemory()
+		net.SetDropRate(0.10, 7)
+		net.SetDropExempt("cluster-ctrl")
+		net.SetDelay(200 * time.Microsecond)
 
-	cl, err := New(p, Config{
-		Core:      core.Config{Adaptive: true},
-		Staleness: 1,
-		Resend:    2 * time.Millisecond,
-	}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	stats, err := cl.Run(300, 2*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) == 0 {
-		t.Fatal("no rounds completed")
-	}
-	if rel := tailMeanDeviation(stats, want, 8); rel > 0.01 {
-		t.Errorf("converged utility deviates %.2f%% from synchronous %.2f (%d rounds finalized)",
-			rel*100, want, len(stats))
-	}
-	if net.NetStats().Dropped == 0 {
-		t.Error("fault injection inactive: nothing was dropped")
+		cl, err := New(p, Config{
+			Core:      core.Config{Adaptive: true},
+			Staleness: k,
+			Resend:    2 * time.Millisecond,
+		}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := cl.Run(300, 2*time.Minute)
+		cl.Close()
+		net.Close()
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if len(stats) == 0 {
+			t.Fatalf("K=%d: no rounds completed", k)
+		}
+		if rel := tailMeanDeviation(stats, want, 8); rel > 0.01 {
+			t.Errorf("K=%d: converged utility deviates %.2f%% from synchronous %.2f (%d rounds finalized)",
+				k, rel*100, want, len(stats))
+		}
+		if net.NetStats().Dropped == 0 {
+			t.Errorf("K=%d: fault injection inactive: nothing was dropped", k)
+		}
 	}
 }
 
@@ -211,7 +265,6 @@ func TestClusterThousandAgents(t *testing.T) {
 
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
-		Wire:      transport.WireBinary,
 		Batch:     true,
 		Hosts:     24,
 		Staleness: 2,
@@ -235,29 +288,6 @@ func TestClusterThousandAgents(t *testing.T) {
 	}
 	if net.NetStats().Dropped == 0 {
 		t.Error("fault injection inactive: nothing was dropped")
-	}
-}
-
-// TestBinaryBytesReduction: the binary codec must move at least 3x fewer
-// payload bytes per round than JSON for the same trajectory.
-func TestBinaryBytesReduction(t *testing.T) {
-	cfg := Config{Core: core.Config{Adaptive: true}}
-	netJ := transport.NewMemory()
-	runTrajectory(t, cfg, netJ, 20)
-	jsonBytes := netJ.NetStats().Bytes
-	netJ.Close()
-
-	cfg.Wire = transport.WireBinary
-	netB := transport.NewMemory()
-	runTrajectory(t, cfg, netB, 20)
-	binBytes := netB.NetStats().Bytes
-	netB.Close()
-
-	if binBytes == 0 || jsonBytes == 0 {
-		t.Fatalf("byte meters did not advance: json=%d binary=%d", jsonBytes, binBytes)
-	}
-	if ratio := float64(jsonBytes) / float64(binBytes); ratio < 3 {
-		t.Errorf("binary codec saves %.2fx bytes (json %d, binary %d), want >= 3x", ratio, jsonBytes, binBytes)
 	}
 }
 

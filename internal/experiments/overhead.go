@@ -76,12 +76,11 @@ func OverheadExperiment(opts Options, rounds int) ([]OverheadRow, error) {
 }
 
 // RuntimeRow records one dist-runtime configuration of the X5 extension:
-// the same workload optimized under a wire format / batching / staleness
-// combination, with its communication cost and convergence speed.
+// the same workload optimized under a batching / staleness combination,
+// with its communication cost and convergence speed.
 type RuntimeRow struct {
-	Config string // human label, e.g. "binary+batch K=2"
-	// Wire, Batch and Staleness echo the dist.Config knobs.
-	Wire      string
+	Config string // human label, e.g. "batch K=2"
+	// Batch and Staleness echo the dist.Config knobs.
 	Batch     bool
 	Staleness int
 	// FramesPerRound counts transport frames (after batching), while
@@ -97,10 +96,10 @@ type RuntimeRow struct {
 
 // DistRuntimeExperiment (X5 extension) fixes one mid-size workload (102
 // flows x 102 nodes) and sweeps the distributed runtime's throughput
-// knobs: JSON vs binary wire, per-host batching, and bounded staleness K.
-// It reports frames/round and bytes/round (the costs the binary codec and
-// batching attack) and rounds-to-converge (the cost staleness pays, or
-// does not, for overlapping rounds).
+// knobs: per-host batching and bounded staleness K. It reports
+// frames/round and bytes/round (the costs batching attacks) and
+// rounds-to-converge (the cost staleness pays, or does not, for
+// overlapping rounds).
 func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 	o := opts.normalized()
 	if rounds <= 0 {
@@ -121,12 +120,11 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 		label string
 		cfg   dist.Config
 	}{
-		{"json", dist.Config{}},
-		{"binary", dist.Config{Wire: transport.WireBinary}},
-		{"binary+batch", dist.Config{Wire: transport.WireBinary, Batch: true, Hosts: 12}},
-		{"binary+batch K=1", dist.Config{Wire: transport.WireBinary, Batch: true, Hosts: 12, Staleness: 1}},
-		{"binary+batch K=2", dist.Config{Wire: transport.WireBinary, Batch: true, Hosts: 12, Staleness: 2}},
-		{"binary+batch K=4", dist.Config{Wire: transport.WireBinary, Batch: true, Hosts: 12, Staleness: 4}},
+		{"plain", dist.Config{}},
+		{"batch", dist.Config{Batch: true, Hosts: 12}},
+		{"batch K=1", dist.Config{Batch: true, Hosts: 12, Staleness: 1}},
+		{"batch K=2", dist.Config{Batch: true, Hosts: 12, Staleness: 2}},
+		{"batch K=4", dist.Config{Batch: true, Hosts: 12, Staleness: 4}},
 	}
 
 	var out []RuntimeRow
@@ -161,7 +159,6 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 		}
 		out = append(out, RuntimeRow{
 			Config:           c.label,
-			Wire:             cfg.Wire.String(),
 			Batch:            cfg.Batch,
 			Staleness:        cfg.Staleness,
 			FramesPerRound:   float64(m.Delivered) / float64(rounds),
@@ -175,7 +172,7 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 
 // RenderDistRuntime renders the X5 extension rows.
 func RenderDistRuntime(rows []RuntimeRow) *trace.Table {
-	t := trace.NewTable("X5b: dist runtime — wire format, batching, staleness (102f x 102n)",
+	t := trace.NewTable("X5b: dist runtime — batching, staleness (102f x 102n)",
 		"Config", "Frames/round", "Bytes/round", "Rounds to 1%", "Utility")
 	for _, r := range rows {
 		conv := "-"

@@ -7,53 +7,7 @@ import (
 	"math"
 )
 
-// Wire selects the frame encoding an endpoint writes. Both formats can be
-// decoded by every receiver (frames are self-describing), so endpoints
-// with different wire settings interoperate; the setting only controls
-// what an endpoint emits.
-type Wire uint8
-
-// Wire formats.
-const (
-	// WireJSON writes JSON message bodies (the original format, kept as
-	// the compatibility and debug mode: frames are human-readable).
-	WireJSON Wire = iota
-	// WireBinary writes compact varint-framed binary bodies: no
-	// per-message JSON marshal, ~4-6x smaller frames, and an
-	// allocation-free append-style encode path.
-	WireBinary
-)
-
-// String implements fmt.Stringer.
-func (w Wire) String() string {
-	switch w {
-	case WireBinary:
-		return "binary"
-	default:
-		return "json"
-	}
-}
-
-// ParseWire parses "json" or "binary".
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "json", "":
-		return WireJSON, nil
-	case "binary":
-		return WireBinary, nil
-	}
-	return WireJSON, fmt.Errorf("transport: unknown wire format %q (want json or binary)", s)
-}
-
-// WireSelector is implemented by endpoints whose outbound wire format can
-// be chosen. Call SetWire before the endpoint carries traffic.
-type WireSelector interface {
-	SetWire(Wire)
-}
-
-// binaryTag is the first byte of a binary-encoded message body. JSON
-// bodies start with '{' (and JSON batch payloads with '['), so a receiver
-// distinguishes the formats from the first byte alone.
+// binaryTag is the first byte of an encoded message body.
 const binaryTag = 'B'
 
 // ErrCorruptFrame reports a binary body that could not be decoded.

@@ -2,34 +2,16 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	stdnet "net"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestParseWire(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Wire
-		ok   bool
-	}{
-		{"json", WireJSON, true},
-		{"", WireJSON, true},
-		{"binary", WireBinary, true},
-		{"protobuf", WireJSON, false},
-	} {
-		got, err := ParseWire(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseWire(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if WireJSON.String() != "json" || WireBinary.String() != "binary" {
-		t.Errorf("Wire.String: %q %q", WireJSON, WireBinary)
-	}
-}
 
 func TestMessageBinaryRoundTrip(t *testing.T) {
 	cases := []Message{
@@ -157,69 +139,64 @@ func TestAppendMessageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTCPBinaryWire runs traffic over the binary wire and checks payloads
-// arrive intact; TestTCPMixedWires checks a binary sender and a JSON
-// sender interoperate on one network, including a live format switch.
+// TestTCPBinaryWire runs traffic over TCP and checks payloads arrive
+// intact and in order.
 func TestTCPBinaryWire(t *testing.T) {
 	net := NewTCP()
-	net.SetWire(WireBinary)
 	defer net.Close()
 
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 	for i := 0; i < 50; i++ {
-		m, err := Encode("a", "b", "seq", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Send(m); err != nil {
+		if err := a.Send(textMsg("a", "b", "seq", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
-		var got int
-		if err := Decode(recvOne(t, b), &got); err != nil {
-			t.Fatal(err)
-		}
-		if got != i {
-			t.Fatalf("message %d arrived as %d", i, got)
+		if got := string(recvOne(t, b).Payload); got != fmt.Sprint(i) {
+			t.Fatalf("message %d arrived as %s", i, got)
 		}
 	}
 }
 
-func TestTCPMixedWires(t *testing.T) {
+// TestTCPRejectsLegacyFrame: a frame in the retired 4-byte-length + JSON
+// layout (first header byte 0x00) must never be parsed. The reader drops
+// the connection, so a valid frame queued behind it on the same stream is
+// lost too, while a fresh connection still delivers.
+func TestTCPRejectsLegacyFrame(t *testing.T) {
 	net := NewTCP()
 	defer net.Close()
-
-	a, _ := net.Endpoint("a") // JSON (default)
+	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
-	c, _ := net.Endpoint("c")
-	c.(WireSelector).SetWire(WireBinary)
 
-	ma, _ := Encode("a", "b", "from-json", "j")
-	mc, _ := Encode("c", "b", "from-binary", "c")
-	if err := a.Send(ma); err != nil {
+	conn, err := stdnet.Dial("tcp", b.(*tcpEndpoint).Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(mc); err != nil {
+	defer conn.Close()
+	legacy, err := json.Marshal(textMsg("x", "b", "legacy", 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		kinds[recvOne(t, b).Kind] = true
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(legacy)))
+	frame = append(frame, legacy...)
+	valid := AppendMessage(nil, &Message{From: "x", To: "b", Kind: "after"})
+	frame = binary.AppendUvarint(frame, uint64(len(valid)))
+	frame = append(frame, valid...)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
 	}
-	if !kinds["from-json"] || !kinds["from-binary"] {
-		t.Errorf("kinds = %v", kinds)
+	// The reader closes its side; our next read sees EOF (or a reset).
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("connection still open after a legacy frame header")
 	}
 
-	// Switch a live endpoint to binary mid-stream: the same connection
-	// carries both layouts back to back.
-	a.(WireSelector).SetWire(WireBinary)
-	if err := a.Send(ma); err != nil {
+	if err := a.Send(textMsg("a", "b", "fresh", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvOne(t, b); got.Kind != "from-json" {
-		t.Errorf("post-switch kind = %q", got.Kind)
+	if got := recvOne(t, b); got.Kind != "fresh" {
+		t.Errorf("first delivered frame has kind %q, want fresh", got.Kind)
 	}
 }
 
@@ -244,7 +221,7 @@ func TestMemoryDelay(t *testing.T) {
 	b, _ := net.Endpoint("b")
 	net.SetDelay(20 * time.Millisecond)
 
-	m, _ := Encode("a", "b", "k", 1)
+	m := textMsg("a", "b", "k", 1)
 	start := time.Now()
 	if err := a.Send(m); err != nil {
 		t.Fatal(err)
@@ -282,11 +259,11 @@ func TestMemoryDropExempt(t *testing.T) {
 	net.SetDropRate(1.0, 7)
 	net.SetDropExempt("ctrl")
 
-	m, _ := Encode("a", "b", "k", 1)
+	m := textMsg("a", "b", "k", 1)
 	if err := a.Send(m); !errors.Is(err, ErrDropped) {
 		t.Errorf("non-exempt send: %v, want ErrDropped", err)
 	}
-	cm, _ := Encode("ctrl", "b", "k", 2)
+	cm := textMsg("ctrl", "b", "k", 2)
 	if err := ctrl.Send(cm); err != nil {
 		t.Errorf("exempt send dropped: %v", err)
 	}
@@ -337,16 +314,5 @@ func BenchmarkAppendMessage(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendMessage(buf[:0], &msg)
-	}
-}
-
-func BenchmarkEncodeJSONMessage(b *testing.B) {
-	msg := Message{From: "flow/42", To: "node/7", Kind: "rate",
-		Payload: []byte(`{"round":9,"flow":42,"rate":1.52,"active":true}`)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(msg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,15 +1,16 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
 
-// memoryBuffer is the per-endpoint inbound queue size. Deliveries beyond a
-// full buffer block the sender briefly rather than dropping, keeping the
-// in-memory transport lossless unless faults are injected.
+// memoryBuffer is the per-endpoint inbound queue size. A delivery to a
+// full inbox is refused, never blocked on: Send returns an error and the
+// message counts in Stats.Dropped.
 const memoryBuffer = 1024
 
 // Memory is an in-process Network: endpoints exchange messages through
@@ -183,7 +184,7 @@ func (m *Memory) deliver(msg Message) error {
 		// fires. Late failures — destination closed or full — count as
 		// drops since the sender already saw success.
 		m.mu.Unlock()
-		time.AfterFunc(d, func() { m.enqueue(msg, true) })
+		time.AfterFunc(d, func() { m.enqueueLate(msg) })
 		return nil
 	}
 	err := m.enqueueLocked(msg)
@@ -191,16 +192,16 @@ func (m *Memory) deliver(msg Message) error {
 	return err
 }
 
-// enqueue delivers under the lock; lateDropsOnly converts all failures
-// into silent Dropped accounting (used by the delay timer path, where the
-// sender is long gone).
-func (m *Memory) enqueue(msg Message, lateDropsOnly bool) {
+// enqueueLate delivers a delayed message. The sender already saw
+// success, so a destination that closed meanwhile counts as a drop (a full
+// inbox is counted by enqueueLocked).
+func (m *Memory) enqueueLate(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	if err := m.enqueueLocked(msg); err != nil && lateDropsOnly {
+	if err := m.enqueueLocked(msg); errors.Is(err, ErrUnknownDest) {
 		m.stats.Dropped++
 	}
 }
@@ -208,8 +209,8 @@ func (m *Memory) enqueue(msg Message, lateDropsOnly bool) {
 // enqueueLocked hands msg to its destination endpoint. Callers hold m.mu;
 // enqueueing under the lock means the channel cannot be closed
 // concurrently. The buffer is large relative to a round's message count,
-// so a full buffer signals gross imbalance; surface it instead of
-// blocking with the network lock held.
+// so a full buffer signals gross imbalance: the message is refused and
+// counted as dropped instead of blocking with the network lock held.
 func (m *Memory) enqueueLocked(msg Message) error {
 	dst, ok := m.endpoints[msg.To]
 	if !ok || dst.closed {
@@ -217,17 +218,14 @@ func (m *Memory) enqueueLocked(msg Message) error {
 	}
 	select {
 	case dst.in <- msg:
+		n := uint64(len(msg.Payload))
 		m.stats.Delivered++
-		m.stats.Bytes += uint64(len(msg.Payload))
-		if classifyPayload(msg.Payload) {
-			m.stats.JSON.Frames++
-			m.stats.JSON.Bytes += uint64(len(msg.Payload))
-		} else {
-			m.stats.Binary.Frames++
-			m.stats.Binary.Bytes += uint64(len(msg.Payload))
-		}
+		m.stats.Bytes += n
+		m.stats.Binary.Frames++
+		m.stats.Binary.Bytes += n
 		return nil
 	default:
+		m.stats.Dropped++
 		return fmt.Errorf("transport: %q inbound buffer full", msg.To)
 	}
 }

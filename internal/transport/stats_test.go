@@ -5,32 +5,22 @@ import (
 	"testing"
 )
 
-// Per-wire attribution must split counters correctly when endpoints of one
-// network write different formats (the WireSelector mixed-wire setup).
+// Every TCP frame is binary: the per-wire split reads JSON zero and
+// Binary equal to the totals.
 func TestTCPPerWireStats(t *testing.T) {
 	net := NewTCP()
 	defer net.Close()
 
-	a, _ := net.Endpoint("a") // JSON (default)
+	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 	c, _ := net.Endpoint("c")
-	c.(WireSelector).SetWire(WireBinary)
-
 	for i := 0; i < 3; i++ {
-		m, err := Encode("a", "b", "from-json", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Send(m); err != nil {
+		if err := a.Send(textMsg("a", "b", "from-a", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		m, err := Encode("c", "b", "from-binary", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Send(m); err != nil {
+		if err := c.Send(textMsg("c", "b", "from-c", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,22 +29,19 @@ func TestTCPPerWireStats(t *testing.T) {
 	}
 
 	st := net.NetStats()
-	if st.JSON.Frames != 3 || st.Binary.Frames != 2 {
-		t.Fatalf("frames = JSON %d / binary %d, want 3 / 2", st.JSON.Frames, st.Binary.Frames)
+	if st.Delivered != 5 || st.Bytes == 0 {
+		t.Fatalf("Delivered = %d, Bytes = %d, want 5 and > 0", st.Delivered, st.Bytes)
 	}
-	if st.JSON.Bytes == 0 || st.Binary.Bytes == 0 {
-		t.Errorf("bytes = JSON %d / binary %d, want both > 0", st.JSON.Bytes, st.Binary.Bytes)
+	if st.JSON != (WireStats{}) {
+		t.Errorf("JSON = %+v, want zero", st.JSON)
 	}
-	if st.Delivered != 5 {
-		t.Errorf("Delivered = %d, want 5", st.Delivered)
-	}
-	if st.Bytes != st.JSON.Bytes+st.Binary.Bytes {
-		t.Errorf("Bytes = %d, want JSON+Binary = %d", st.Bytes, st.JSON.Bytes+st.Binary.Bytes)
+	if st.Binary != (WireStats{Frames: st.Delivered, Bytes: st.Bytes}) {
+		t.Errorf("Binary = %+v, want the totals %d / %d", st.Binary, st.Delivered, st.Bytes)
 	}
 }
 
-// The in-memory transport has no frames; it attributes by the
-// self-describing first payload byte.
+// The in-memory transport carries opaque payloads and counts every one as
+// binary, whatever its first byte.
 func TestMemoryPerWireStats(t *testing.T) {
 	net := NewMemory()
 	defer net.Close()
@@ -65,11 +52,11 @@ func TestMemoryPerWireStats(t *testing.T) {
 	}
 
 	payloads := [][]byte{
-		[]byte(`{"round":1}`), // JSON object
-		[]byte(`[1,2,3]`),     // JSON array (batch layout)
-		{0x01, 0x02, 0x03},    // dist binary tag
-		{'B', 0x00},           // binary batch tag
-		nil,                   // empty counts as JSON (legacy encoding)
+		[]byte(`{"round":1}`),
+		[]byte(`[1,2,3]`),
+		{0x01, 0x02, 0x03},
+		{'B', 0x00},
+		nil,
 	}
 	for _, p := range payloads {
 		if err := a.Send(Message{To: "b", Kind: "k", Payload: p}); err != nil {
@@ -78,14 +65,37 @@ func TestMemoryPerWireStats(t *testing.T) {
 	}
 
 	st := net.NetStats()
-	if st.JSON.Frames != 3 || st.Binary.Frames != 2 {
-		t.Fatalf("frames = JSON %d / binary %d, want 3 / 2", st.JSON.Frames, st.Binary.Frames)
+	if st.Delivered != uint64(len(payloads)) || st.Bytes != 23 {
+		t.Fatalf("Delivered = %d, Bytes = %d, want %d and 23", st.Delivered, st.Bytes, len(payloads))
 	}
-	if st.JSON.Bytes+st.Binary.Bytes != st.Bytes {
-		t.Errorf("per-wire bytes %d+%d do not sum to total %d", st.JSON.Bytes, st.Binary.Bytes, st.Bytes)
+	if st.JSON != (WireStats{}) {
+		t.Errorf("JSON = %+v, want zero", st.JSON)
 	}
-	if st.Delivered != uint64(len(payloads)) {
-		t.Errorf("Delivered = %d, want %d", st.Delivered, len(payloads))
+	if st.Binary != (WireStats{Frames: st.Delivered, Bytes: st.Bytes}) {
+		t.Errorf("Binary = %+v, want the totals", st.Binary)
+	}
+}
+
+// A send to a full inbox is refused, not blocked on, and counts as a drop.
+func TestMemoryFullInboxCountsDrop(t *testing.T) {
+	net := NewMemory()
+	defer net.Close()
+
+	a, _ := net.Endpoint("a")
+	if _, err := net.Endpoint("b"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < memoryBuffer; i++ {
+		if err := a.Send(Message{To: "b", Kind: "k"}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := a.Send(Message{To: "b", Kind: "k"}); err == nil {
+		t.Fatal("send to a full inbox succeeded")
+	}
+	st := net.NetStats()
+	if st.Delivered != memoryBuffer || st.Dropped != 1 {
+		t.Errorf("Delivered = %d, Dropped = %d, want %d and 1", st.Delivered, st.Dropped, memoryBuffer)
 	}
 }
 

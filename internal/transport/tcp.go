@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -18,22 +17,15 @@ import (
 // 127.0.0.1 and fills the registry automatically; for multi-process
 // deployments, construct endpoints with ListenTCP/RegisterPeer directly.
 //
-// Two frame layouts coexist on every connection and are distinguished by
-// the first byte of the frame header:
-//
-//   - legacy: 4-byte big-endian length + JSON message body. Frames are
-//     capped at 16 MiB, so the first header byte is always 0x00.
-//   - varint: uvarint length + binary message body (see AppendMessage).
-//     A uvarint never starts with 0x00 for a non-empty frame.
-//
-// Receivers accept both unconditionally; SetWire selects what an endpoint
-// writes (WireJSON, the default, keeps the legacy layout byte-for-byte).
+// A frame is a uvarint body length followed by an AppendMessage body. A
+// header starting with 0x00 (a zero-length body, or the retired 4-byte
+// big-endian length of the old JSON layout) is rejected: the reader drops
+// the connection rather than misparse the stream.
 type TCP struct {
 	mu        sync.Mutex
 	registry  map[string]string // endpoint name -> host:port
 	endpoints []*tcpEndpoint
 	closed    bool
-	wire      Wire
 	meter     tcpMeter
 }
 
@@ -48,28 +40,18 @@ func NewTCP() *TCP {
 }
 
 // tcpMeter accumulates frame counters across a TCP network's endpoints.
-// Counting happens on the send path, where the frame layout being written
-// is known, so mixed-wire runs attribute each frame to the format that
-// actually hit the socket.
+// Counting happens on the send path, once a frame hit the socket.
 type tcpMeter struct {
-	frames, bytes                              atomic.Uint64
-	jsonFrames, jsonBytes, binFrames, binBytes atomic.Uint64
+	frames, bytes atomic.Uint64
 }
 
 // countFrame records one successfully written frame of n body bytes.
-func (m *tcpMeter) countFrame(w Wire, n int) {
+func (m *tcpMeter) countFrame(n int) {
 	if m == nil {
 		return
 	}
 	m.frames.Add(1)
 	m.bytes.Add(uint64(n))
-	if w == WireBinary {
-		m.binFrames.Add(1)
-		m.binBytes.Add(uint64(n))
-	} else {
-		m.jsonFrames.Add(1)
-		m.jsonBytes.Add(uint64(n))
-	}
 }
 
 // NetStats implements Meter. Delivered counts frames written to a peer
@@ -77,21 +59,12 @@ func (m *tcpMeter) countFrame(w Wire, n int) {
 // peer dies); Bytes totals frame body bytes. TCP reports no Dropped —
 // loss shows up as send errors instead.
 func (t *TCP) NetStats() Stats {
+	frames, bytes := t.meter.frames.Load(), t.meter.bytes.Load()
 	return Stats{
-		Delivered: t.meter.frames.Load(),
-		Bytes:     t.meter.bytes.Load(),
-		JSON:      WireStats{Frames: t.meter.jsonFrames.Load(), Bytes: t.meter.jsonBytes.Load()},
-		Binary:    WireStats{Frames: t.meter.binFrames.Load(), Bytes: t.meter.binBytes.Load()},
+		Delivered: frames,
+		Bytes:     bytes,
+		Binary:    WireStats{Frames: frames, Bytes: bytes},
 	}
-}
-
-// SetWire sets the outbound wire format for endpoints created after this
-// call. Existing endpoints are unaffected; use the endpoint's own SetWire
-// (via the WireSelector interface) to switch one in place.
-func (t *TCP) SetWire(w Wire) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.wire = w
 }
 
 // Endpoint implements Network: it starts a listener on a loopback port and
@@ -110,7 +83,6 @@ func (t *TCP) Endpoint(name string) (Endpoint, error) {
 		return nil, err
 	}
 	ep.meter = &t.meter
-	ep.SetWire(t.wire)
 	t.registry[name] = ep.listener.Addr().String()
 	t.endpoints = append(t.endpoints, ep)
 	return ep, nil
@@ -146,7 +118,6 @@ type tcpEndpoint struct {
 	name     string
 	listener net.Listener
 	resolve  func(string) (string, error)
-	wire     atomic.Uint32
 	meter    *tcpMeter // shared with the owning network; nil for standalone endpoints
 
 	in      chan Message
@@ -157,19 +128,15 @@ type tcpEndpoint struct {
 	wg      sync.WaitGroup
 }
 
-var (
-	_ Endpoint     = (*tcpEndpoint)(nil)
-	_ WireSelector = (*tcpEndpoint)(nil)
-)
+var _ Endpoint = (*tcpEndpoint)(nil)
 
 type outConn struct {
 	conn net.Conn
 	w    *bufio.Writer
 	mu   sync.Mutex
-	// buf is the reusable frame-encode scratch for the binary wire,
-	// guarded by mu. After warm-up the encode path performs no
-	// allocations: header and body are appended here and written in one
-	// call.
+	// buf is the reusable frame-encode scratch, guarded by mu. After
+	// warm-up the encode path performs no allocations: header and body
+	// are appended here and written in one call.
 	buf []byte
 }
 
@@ -204,61 +171,21 @@ func (e *tcpEndpoint) Name() string { return e.name }
 // Addr returns the listener address (useful for registries).
 func (e *tcpEndpoint) Addr() string { return e.listener.Addr().String() }
 
-// SetWire implements WireSelector: it selects the outbound frame format.
-// Safe to call concurrently with Send.
-func (e *tcpEndpoint) SetWire(w Wire) { e.wire.Store(uint32(w)) }
-
 // Send implements Endpoint: it lazily dials the destination, caches the
-// connection, and writes one frame in the endpoint's wire format.
+// connection, and writes one frame: uvarint body length + AppendMessage
+// body, assembled in the connection's scratch buffer so the steady-state
+// encode path allocates nothing.
 func (e *tcpEndpoint) Send(msg Message) error {
 	msg.From = e.name
 	c, err := e.connTo(msg.To)
 	if err != nil {
 		return err
 	}
-	if Wire(e.wire.Load()) == WireBinary {
-		return e.sendBinary(c, &msg)
-	}
-	return e.sendJSON(c, &msg)
-}
-
-// sendJSON writes the legacy frame layout: 4-byte big-endian length +
-// JSON body. Byte-for-byte identical to the pre-binary transport.
-func (e *tcpEndpoint) sendJSON(c *outConn, msg *Message) error {
-	data, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("transport: marshal: %w", err)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(data)))
-	if _, err := c.w.Write(lenbuf[:]); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	if _, err := c.w.Write(data); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	if err := c.w.Flush(); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	e.meter.countFrame(WireJSON, len(data))
-	return nil
-}
-
-// sendBinary writes the varint frame layout: uvarint body length +
-// AppendMessage body, assembled in the connection's scratch buffer so the
-// steady-state encode path allocates nothing.
-func (e *tcpEndpoint) sendBinary(c *outConn, msg *Message) error {
-	body := BinarySize(msg)
+	body := BinarySize(&msg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.buf = binary.AppendUvarint(c.buf[:0], uint64(body))
-	c.buf = AppendMessage(c.buf, msg)
+	c.buf = AppendMessage(c.buf, &msg)
 	if _, err := c.w.Write(c.buf); err != nil {
 		e.dropConn(msg.To)
 		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
@@ -267,7 +194,7 @@ func (e *tcpEndpoint) sendBinary(c *outConn, msg *Message) error {
 		e.dropConn(msg.To)
 		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
 	}
-	e.meter.countFrame(WireBinary, body)
+	e.meter.countFrame(body)
 	return nil
 }
 
@@ -366,33 +293,27 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// maxFrame bounds a single frame body. Legacy 4-byte headers therefore
-// always start with 0x00, which is how the reader tells the layouts apart.
+// maxFrame bounds a single frame body.
 const maxFrame = 16 << 20
 
-// readFrameLen reads one frame header and returns the body length.
-// A leading 0x00 byte means a legacy 4-byte big-endian header; anything
-// else starts a uvarint header.
+// errBadHeader rejects a frame header that starts with 0x00. Every valid
+// body is non-empty, so its uvarint length never starts with a zero byte;
+// a zero first byte is the retired 4-byte JSON header or garbage.
+var errBadHeader = fmt.Errorf("%w: zero frame header", ErrCorruptFrame)
+
+// readFrameLen reads one uvarint frame header and returns the body length.
 func readFrameLen(r *bufio.Reader) (uint64, error) {
 	b0, err := r.ReadByte()
 	if err != nil {
 		return 0, err
 	}
 	if b0 == 0 {
-		var rest [3]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return 0, err
-		}
-		return uint64(rest[0])<<16 | uint64(rest[1])<<8 | uint64(rest[2]), nil
+		return 0, errBadHeader
 	}
 	if err := r.UnreadByte(); err != nil {
 		return 0, err
 	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	return binary.ReadUvarint(r)
 }
 
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
@@ -420,14 +341,8 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
-		var msg Message
-		if len(data) > 0 && data[0] == binaryTag {
-			m, _, err := DecodeMessage(data)
-			if err != nil {
-				continue // skip undecodable frame
-			}
-			msg = m
-		} else if err := json.Unmarshal(data, &msg); err != nil {
+		msg, _, err := DecodeMessage(data)
+		if err != nil {
 			continue // skip undecodable frame
 		}
 

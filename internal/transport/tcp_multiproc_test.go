@@ -32,24 +32,16 @@ func TestListenTCPWithExternalRegistry(t *testing.T) {
 	registry["proc-a"] = a.(*tcpEndpoint).Addr()
 	registry["proc-b"] = b.(*tcpEndpoint).Addr()
 
-	msg, err := Encode("proc-a", "proc-b", "ping", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(msg); err != nil {
+	if err := a.Send(textMsg("proc-a", "proc-b", "ping", 42)); err != nil {
 		t.Fatal(err)
 	}
 	got := recvOne(t, b)
-	var v int
-	if err := Decode(got, &v); err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 || got.From != "proc-a" {
-		t.Errorf("got %+v (v=%d)", got, v)
+	if string(got.Payload) != "42" || got.From != "proc-a" {
+		t.Errorf("got %+v", got)
 	}
 
 	// Unregistered peers resolve to an error.
-	msg, _ = Encode("proc-a", "proc-c", "ping", 1)
+	msg := textMsg("proc-a", "proc-c", "ping", 1)
 	if err := a.Send(msg); !errors.Is(err, ErrUnknownDest) {
 		t.Errorf("error = %v, want ErrUnknownDest", err)
 	}
@@ -69,7 +61,7 @@ func TestMemoryNetStatsDirect(t *testing.T) {
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 
-	msg, _ := Encode("a", "b", "k", "payload")
+	msg := textMsg("a", "b", "k", "payload")
 	if err := a.Send(msg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,54 +1,30 @@
 // Package transport provides named message endpoints for the distributed
-// LRGP runtime (package dist) and the event broker (package broker).
+// LRGP runtime (package dist).
 //
 // Two implementations share one interface: an in-memory hub with
 // deterministic delivery and optional fault injection (drops, delay,
-// partitions), and a TCP transport with length-prefixed frames in either
-// of two selectable wire formats (JSON for compatibility and debugging,
-// compact varint-framed binary for throughput — see Wire). Agents address
-// each other by endpoint name ("node/2", "flow/5", "collector"), so the
-// same agent code runs over either.
+// partitions), and a TCP transport with uvarint-length-prefixed binary
+// frames (see AppendMessage). Agents address each other by endpoint name
+// ("node/2", "flow/5", "collector"), so the same agent code runs over
+// either.
 package transport
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Message is one addressed datagram. Payloads are pre-encoded by the
-// sender (JSON or a self-describing binary layout — receivers tell them
-// apart by the first payload byte), so the bytes carried are identical
-// across transports.
+// sender, so the bytes carried are identical across transports.
 //
 // Payload is shared, not copied, on in-memory delivery and when one
 // encoded payload fans out to several peers, so receivers must treat it
 // as read-only.
 type Message struct {
 	// From and To are endpoint names.
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 	// Kind tags the payload type (e.g. "rate", "node", "link").
-	Kind string `json:"kind"`
+	Kind string
 	// Payload is the encoded body. Read-only for receivers.
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
-// Encode marshals v into a Message payload.
-func Encode(from, to, kind string, v any) (Message, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return Message{}, fmt.Errorf("transport: encode %s: %w", kind, err)
-	}
-	return Message{From: from, To: to, Kind: kind, Payload: data}, nil
-}
-
-// Decode unmarshals a Message payload into v.
-func Decode(m Message, v any) error {
-	if err := json.Unmarshal(m.Payload, v); err != nil {
-		return fmt.Errorf("transport: decode %s: %w", m.Kind, err)
-	}
-	return nil
+	Payload []byte
 }
 
 // Endpoint is one agent's attachment to a network.
@@ -81,7 +57,7 @@ var (
 	ErrDropped     = errors.New("transport: message dropped by fault injection")
 )
 
-// WireStats attributes traffic to one wire format.
+// WireStats counts the frames and payload bytes of one wire format.
 type WireStats struct {
 	// Frames counts messages (or TCP frames) carried in this format.
 	Frames uint64
@@ -94,26 +70,15 @@ type WireStats struct {
 type Stats struct {
 	// Delivered counts messages handed to a destination endpoint.
 	Delivered uint64
-	// Dropped counts messages lost to fault injection or partitions.
+	// Dropped counts messages lost to fault injection, partitions or a
+	// full inbox.
 	Dropped uint64
 	// Bytes totals the payload bytes of delivered messages.
 	Bytes uint64
-	// JSON and Binary split the delivered traffic per wire format, so
-	// mixed-wire runs can attribute bytes and frames to each encoding.
-	// The in-memory transport classifies by the self-describing first
-	// payload byte; the TCP transport counts by the frame layout it
-	// actually wrote.
+	// Binary repeats Delivered and Bytes: every frame is binary. JSON
+	// stays zero; it remains so meters read by wire format keep working.
 	JSON   WireStats
 	Binary WireStats
-}
-
-// classifyPayload reports whether an encoded payload is JSON. Payloads are
-// self-describing by their first byte (see Message): '{' or '[' open a
-// JSON document, anything else (the 'B' batch tag, the dist binary tags)
-// is binary. Empty payloads count as JSON — only the legacy encoding
-// omits bodies.
-func classifyPayload(p []byte) (isJSON bool) {
-	return len(p) == 0 || p[0] == '{' || p[0] == '['
 }
 
 // Meter is implemented by networks that count their traffic.

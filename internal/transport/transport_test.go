@@ -28,6 +28,11 @@ func recvOne(t *testing.T, ep Endpoint) Message {
 	return Message{}
 }
 
+// textMsg builds a message whose payload is the text form of v.
+func textMsg(from, to, kind string, v any) Message {
+	return Message{From: from, To: to, Kind: kind, Payload: []byte(fmt.Sprint(v))}
+}
+
 func TestSendReceive(t *testing.T) {
 	for name, mk := range networkFactories {
 		t.Run(name, func(t *testing.T) {
@@ -43,23 +48,15 @@ func TestSendReceive(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			msg, err := Encode("a", "b", "greet", map[string]int{"x": 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Send(msg); err != nil {
+			if err := a.Send(textMsg("a", "b", "greet", "x=7")); err != nil {
 				t.Fatal(err)
 			}
 			got := recvOne(t, b)
 			if got.From != "a" || got.To != "b" || got.Kind != "greet" {
 				t.Errorf("got %+v", got)
 			}
-			var body map[string]int
-			if err := Decode(got, &body); err != nil {
-				t.Fatal(err)
-			}
-			if body["x"] != 7 {
-				t.Errorf("payload = %v", body)
+			if string(got.Payload) != "x=7" {
+				t.Errorf("payload = %q", got.Payload)
 			}
 		})
 	}
@@ -76,30 +73,20 @@ func TestBidirectionalAndMultiMessage(t *testing.T) {
 
 			const n = 100
 			for i := 0; i < n; i++ {
-				m, _ := Encode("a", "b", "seq", i)
-				if err := a.Send(m); err != nil {
+				if err := a.Send(textMsg("a", "b", "seq", i)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < n; i++ {
-				var got int
-				if err := Decode(recvOne(t, b), &got); err != nil {
-					t.Fatal(err)
-				}
-				if got != i {
-					t.Fatalf("message %d arrived as %d (order broken)", i, got)
+				if got := string(recvOne(t, b).Payload); got != fmt.Sprint(i) {
+					t.Fatalf("message %d arrived as %s (order broken)", i, got)
 				}
 			}
 
-			m, _ := Encode("b", "a", "reply", "pong")
-			if err := b.Send(m); err != nil {
+			if err := b.Send(textMsg("b", "a", "reply", "pong")); err != nil {
 				t.Fatal(err)
 			}
-			var s string
-			if err := Decode(recvOne(t, a), &s); err != nil {
-				t.Fatal(err)
-			}
-			if s != "pong" {
+			if s := string(recvOne(t, a).Payload); s != "pong" {
 				t.Errorf("reply = %q", s)
 			}
 		})
@@ -127,7 +114,7 @@ func TestUnknownDestination(t *testing.T) {
 			net := mk()
 			defer net.Close()
 			a, _ := net.Endpoint("a")
-			m, _ := Encode("a", "ghost", "k", 1)
+			m := textMsg("a", "ghost", "k", 1)
 			if err := a.Send(m); !errors.Is(err, ErrUnknownDest) {
 				t.Errorf("error = %v, want ErrUnknownDest", err)
 			}
@@ -165,7 +152,7 @@ func TestConcurrentSenders(t *testing.T) {
 				go func(ep Endpoint) {
 					defer wg.Done()
 					for i := 0; i < each; i++ {
-						m, _ := Encode(ep.Name(), "sink", "n", i)
+						m := textMsg(ep.Name(), "sink", "n", i)
 						if err := ep.Send(m); err != nil {
 							t.Errorf("send: %v", err)
 							return
@@ -188,7 +175,7 @@ func TestMemoryDropRate(t *testing.T) {
 	b, _ := net.Endpoint("b")
 	net.SetDropRate(1.0, 1)
 
-	m, _ := Encode("a", "b", "k", 1)
+	m := textMsg("a", "b", "k", 1)
 	if err := a.Send(m); !errors.Is(err, ErrDropped) {
 		t.Errorf("error = %v, want ErrDropped", err)
 	}
@@ -206,7 +193,7 @@ func TestMemoryPartition(t *testing.T) {
 	b, _ := net.Endpoint("b")
 
 	net.SetPartition("a", 1) // b stays in partition 0
-	m, _ := Encode("a", "b", "k", 1)
+	m := textMsg("a", "b", "k", 1)
 	if err := a.Send(m); !errors.Is(err, ErrDropped) {
 		t.Errorf("error = %v, want ErrDropped", err)
 	}
@@ -236,7 +223,7 @@ func TestTCPSurvivesPeerRestart(t *testing.T) {
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 
-	m, _ := Encode("a", "b", "k", 1)
+	m := textMsg("a", "b", "k", 1)
 	if err := a.Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -270,15 +257,5 @@ func TestRecvClosedAfterClose(t *testing.T) {
 				t.Error("Recv not closed after network close")
 			}
 		})
-	}
-}
-
-func TestEncodeDecodeErrors(t *testing.T) {
-	if _, err := Encode("a", "b", "bad", func() {}); err == nil {
-		t.Error("Encode accepted a function")
-	}
-	var v int
-	if err := Decode(Message{Kind: "k", Payload: []byte("{")}, &v); err == nil {
-		t.Error("Decode accepted truncated JSON")
 	}
 }
