@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -45,8 +47,9 @@ func TestRunSweepExperiment(t *testing.T) {
 }
 
 // TestRunScalingExperiment: -run scaling accepts the metro presets by
-// name and reports one row per worker count with the execution mode; on
-// metro-small the sharded engines must be on the fused schedule.
+// name and reports one row per worker count with its stage-plan shard
+// count; on metro-small every sharded engine must run the fused plan, one
+// shard per worker.
 func TestRunScalingExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-run", "scaling", "-workload", "metro-small", "-iters", "30"}, &out); err != nil {
@@ -56,8 +59,13 @@ func TestRunScalingExperiment(t *testing.T) {
 	if !strings.Contains(s, "X9: Step scaling vs workers (metro-small: 240 flows, 1200 nodes, 9600 classes") {
 		t.Errorf("missing scaling table title:\n%s", s)
 	}
-	if !strings.Contains(s, "serial") || !strings.Contains(s, "fused") {
-		t.Errorf("missing execution modes:\n%s", s)
+	if !regexp.MustCompile(`Workers\s+Shards`).MatchString(s) {
+		t.Errorf("missing Shards column:\n%s", s)
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		if !regexp.MustCompile(fmt.Sprintf(`(?m)^\s*%d\s+%d\s`, w, w)).MatchString(s) {
+			t.Errorf("workers=%d row not on a %d-shard plan:\n%s", w, w, s)
+		}
 	}
 	if err := run([]string{"-run", "scaling", "-workload", "nope"}, &out); err == nil {
 		t.Error("unknown workload accepted")

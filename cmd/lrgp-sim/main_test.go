@@ -38,7 +38,7 @@ func TestRunWithAllocAndChart(t *testing.T) {
 
 // TestRunMetroSmallWorkload: the metro presets resolve by name, and the
 // componentized pod structure puts the sharded engine on the fused
-// schedule (visible in the -verbose snapshot summary).
+// four-shard plan (visible in the -verbose snapshot summary).
 func TestRunMetroSmallWorkload(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-workload", "metro-small", "-iters", "40", "-workers", "4", "-verbose"}, &out)
@@ -49,7 +49,7 @@ func TestRunMetroSmallWorkload(t *testing.T) {
 	if !strings.Contains(s, "workload  metro-24p-240f-1200n (240 flows, 1200 nodes, 9600 classes)") {
 		t.Errorf("missing metro workload line:\n%.400s", s)
 	}
-	if !strings.Contains(s, "(fused)") {
+	if !strings.Contains(s, "workers=4 shards=4") {
 		t.Errorf("snapshot summary not on the fused schedule:\n%.400s", s)
 	}
 }
@@ -122,7 +122,7 @@ func TestRunVerboseDiagnostics(t *testing.T) {
 		t.Errorf("missing diagnostics:\n%s", out.String())
 	}
 	// The Snapshot.String() summary line precedes the tables.
-	sumRe := regexp.MustCompile(`snapshot  iter=\d+ utility=[\d.]+ .*workers=\d+ \((serial|sharded)\)`)
+	sumRe := regexp.MustCompile(`snapshot  iter=\d+ utility=[\d.]+ .*workers=\d+ shards=\d+`)
 	if !sumRe.MatchString(out.String()) {
 		t.Errorf("missing snapshot summary line:\n%s", out.String())
 	}

@@ -44,14 +44,14 @@ const (
 // defaults: fixed gamma1 = gamma2 = 0.1, link gamma 0.001, zero initial
 // prices, and as many Step workers as GOMAXPROCS.
 type Config struct {
-	// Workers is how many goroutines (including the caller) execute each
-	// Step stage. 0 resolves to runtime.GOMAXPROCS(0); 1 forces the serial
-	// path. Results are bit-identical for every worker count — the stages
-	// are data-independent within themselves, so sharding changes neither
-	// the arithmetic nor its order. Workloads too small to shard (fewer
-	// than minParallelItems flows, nodes and links) run serially whatever
-	// Workers says; see DESIGN.md for when Workers=1 is still the right
-	// choice.
+	// Workers is how many goroutines (including the caller) may execute
+	// a Step. 0 resolves to runtime.GOMAXPROCS(0); 1 forces the inline
+	// path. A problem runs sharded only when it splits into at least
+	// Workers independent components of balanced weight (DESIGN.md §5);
+	// otherwise, and for workloads too small to shard (fewer than
+	// minParallelItems flows, nodes and links), Step runs inline whatever
+	// Workers says. Results are bit-identical for every worker count —
+	// each shard performs the serial arithmetic in the serial order.
 	Workers int
 	// Gamma1 is the damping stepsize toward the benefit-cost price when
 	// the node is within capacity (Equation 12, first branch). Default

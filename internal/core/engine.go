@@ -9,9 +9,9 @@ import (
 	"repro/internal/model"
 )
 
-// minParallelItems is the smallest per-stage item count (flows, nodes or
-// links) worth fanning out over the worker pool; below it the stage's work
-// is comparable to the dispatch overhead and the engine runs it inline.
+// minParallelItems is the smallest problem worth a worker pool: when the
+// largest of its flow, node and link counts is below it, a Step's work is
+// comparable to the dispatch overhead and the engine always runs inline.
 // Because parallel and serial execution are bit-identical, the cutover is
 // purely a performance decision.
 const minParallelItems = 16
@@ -21,11 +21,11 @@ const minParallelItems = 16
 // algorithm pieces execute in one process, in the same data-dependency
 // order as the distributed version (rates, then populations, then prices).
 //
-// With Config.Workers > 1 (the default resolves to GOMAXPROCS) each Step
-// stage is sharded across a persistent worker pool; results are
-// bit-identical to the serial engine for any worker count. The pool's
-// goroutines live only inside Step's stage barriers, so Step remains
-// synchronous from the caller's point of view.
+// With Config.Workers > 1 (the default resolves to GOMAXPROCS) a problem
+// that splits into independent components runs each Step over a
+// persistent worker pool; results are bit-identical to the serial engine
+// for any worker count. The pool's goroutines live only inside Step's
+// barrier, so Step remains synchronous from the caller's point of view.
 //
 // An Engine is still not safe for concurrent use: no method — including
 // the mid-run mutators SetFlowActive, SetClassDemand and SetNodeCapacity —
@@ -54,19 +54,19 @@ type Engine struct {
 	gamma      *gammaBank
 
 	solvers []*rateSolver
-	// scratch[s] is shard s's admission scratch; the serial path uses
+	// scratch[s] is shard s's admission scratch; a one-shard plan uses
 	// scratch[0]. Sized by the widest node, not the class count.
 	scratch [][]classBC
 
-	// pool is non-nil when the engine shards stages across workers.
+	// pool is non-nil when the engine may shard Step across workers;
+	// shards is the pool's width and the length of every per-shard slice.
 	pool   *workerPool
 	shards int
-	// plan is the crossing-writes analysis result; fused selects the
-	// single-barrier Step path (see stagePlan). Both are fixed at NewEngine
-	// — Reset preserves topology — and rebuilt only by ResetRouting, which
+	// plan is Step's schedule (see stagePlan): one shard run inline, or
+	// whole components fanned out over the pool. Fixed at NewEngine —
+	// Reset preserves topology — and rebuilt only by ResetRouting, which
 	// changes it.
-	plan  *stagePlan
-	fused bool
+	plan *stagePlan
 	// closed is set by Close; stepping a closed engine panics
 	// deterministically instead of racing the pool shutdown.
 	closed bool
@@ -114,12 +114,11 @@ type Engine struct {
 
 	// Per-shard stage accumulators, each of length shards. overNode[s]
 	// and overLink[s] collect shard s's max overload; the reduction over
-	// shards after the stage barrier is order-independent (max is
+	// shards after Step's barrier is order-independent (max is
 	// associative and commutative), so the result is bit-identical to the
 	// serial scan. The dirty/skip counters and changed flags reduce by
-	// integer sum and boolean OR, which are order-independent too. When a
-	// stage runs inline (serial engine, or too few items to shard), only
-	// slot 0 is written and reduced.
+	// integer sum and boolean OR, which are order-independent too. When
+	// the plan has one shard, only slot 0 is written and reduced.
 	overNode       []float64
 	overLink       []float64
 	dirtyFlowsSh   []int
@@ -128,11 +127,12 @@ type Engine struct {
 	rateChangedSh  []bool
 	popChangedSh   []bool
 
-	// stageFns are the three-barrier shard entry points and fusedFn the
-	// single-barrier one, bound once so dispatching a stage allocates
+	// shardFn is stepShard, bound once so dispatching a Step allocates
 	// nothing.
-	stageFns [3]func(shard int)
-	fusedFn  func(shard int)
+	shardFn func(shard int)
+	// stageMarks are the clock readings shard 0 takes after its rate and
+	// node stages, on the telemetry path only.
+	stageMarks [2]time.Time
 }
 
 // StepResult summarizes one LRGP iteration.
@@ -148,10 +148,14 @@ type StepResult struct {
 	MaxNodeOverload float64
 	// MaxLinkOverload is the largest link usage minus capacity.
 	MaxLinkOverload float64
-	// StageNanos holds the wall time of the rate, admission and
+	// StageNanos splits Step's wall time into the rate, admission and
 	// link-price stages (indexed by telemetry.StageRate/StageAdmission/
-	// StagePrice). Populated only when Config.Telemetry is set; all
-	// zero otherwise, so the untelemetered Step never reads the clock.
+	// StagePrice). Slots 0 and 1 are the rate and admission+node-price
+	// spans of shard 0, which runs on the caller's goroutine; slot 2 is
+	// the rest: shard 0's link stage plus, on a sharded Step, the wait for
+	// the other shards. The three always sum to Step's wall time.
+	// Populated only when Config.Telemetry is set; all zero otherwise, so
+	// the untelemetered Step never reads the clock.
 	StageNanos [3]int64
 	// DirtyFlows counts flows whose rate problem was re-solved this
 	// iteration; SkippedNodes and SkippedLinks count constraints that
@@ -259,11 +263,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.linkCap[l] = p.Links[l].Capacity
 		e.linkForced[l] = true
 	}
+	e.plan = newStagePlan(p, ix, shards)
+	e.shardFn = e.stepShard
 	if shards > 1 {
-		e.stageFns = [3]func(int){e.rateShard, e.nodeShard, e.linkShard}
-		e.plan = newStagePlan(p, ix, shards)
-		e.fused = e.plan.fused
-		e.fusedFn = e.fusedShard
 		e.pool = newWorkerPool(shards - 1)
 		// Backstop for engines dropped without Close: idle workers hold no
 		// reference to e (see workerPool), so the finalizer can fire and
@@ -288,29 +290,19 @@ func (e *Engine) Close() {
 	}
 }
 
-// shardRange returns shard s's half-open slice [lo, hi) of n items under
-// the engine's fixed contiguous partition. The boundaries depend only on
-// n, the shard count and s — never on scheduling — which is what makes
-// parallel execution deterministic.
-func (e *Engine) shardRange(n, s int) (lo, hi int) {
-	return n * s / e.shards, n * (s + 1) / e.shards
-}
-
 // Step performs one synchronous LRGP iteration: Algorithm 1 at every flow
 // source, then Algorithm 2 and the Equation 12 price update at every node,
-// then Algorithm 3 (Equation 13) for every link. With Workers > 1 the
-// iteration fans out over the worker pool; results are bit-identical to
-// the serial engine for any worker count.
+// then Algorithm 3 (Equation 13) for every link.
 //
-// Two parallel schedules exist. When the crossing-writes analysis proves
-// the problem decomposes into at least Workers independent components
-// (stagePlan), each worker runs all three stages back to back over whole
-// components — one barrier per Step. Otherwise each stage fans out over
-// fixed contiguous shards and barriers before the next — three barriers,
-// but correct for arbitrarily entangled topologies. Both schedules perform
+// Step runs the engine's stage plan (stagePlan). When the crossing-writes
+// analysis proves the problem decomposes into at least Workers independent
+// components, each worker runs all three stages back to back over its
+// whole components — one barrier per Step. Otherwise the plan is one shard
+// holding everything, run inline on the caller's goroutine. Both perform
 // exactly the serial arithmetic: within a shard the stages run in serial
 // order, and every cross-shard reduction (max overload, counter sums,
-// changed flags) is order-independent.
+// changed flags) is order-independent, so results are bit-identical for
+// any worker count.
 //
 // Step is incremental: a flow re-solves its rate problem only when some
 // price on its path or some consuming class's population changed last
@@ -336,114 +328,31 @@ func (e *Engine) Step() StepResult {
 		t0 = time.Now()
 	}
 
-	var rateChanged, popChanged bool
-	if e.fused {
-		// Fused path: one barrier, each worker runs
-		// rates → admission → node prices → links → flow-utility refresh
-		// for its own components.
-		e.pool.run(e.fusedFn, e.plan.shards)
-		for s := 0; s < e.plan.shards; s++ {
-			res.DirtyFlows += e.dirtyFlowsSh[s]
-			rateChanged = rateChanged || e.rateChangedSh[s]
-			if e.overNode[s] > res.MaxNodeOverload {
-				res.MaxNodeOverload = e.overNode[s]
-			}
-			res.SkippedNodes += e.skippedNodesSh[s]
-			popChanged = popChanged || e.popChangedSh[s]
-			if e.overLink[s] > res.MaxLinkOverload {
-				res.MaxLinkOverload = e.overLink[s]
-			}
-			res.SkippedLinks += e.skippedLinksSh[s]
-		}
-		if tel != nil {
-			// The fused super-stage has no internal barriers to time;
-			// its whole wall time lands in the rate slot.
-			res.StageNanos[0] = time.Since(t0).Nanoseconds()
-		}
+	shards := e.plan.shards
+	if shards > 1 {
+		e.pool.run(e.shardFn, shards)
 	} else {
-		// 1. Rate allocation, using last iteration's populations and
-		// prices.
-		slots := 1
-		if e.pool != nil && len(e.p.Flows) >= minParallelItems {
-			e.pool.run(e.stageFns[0], e.shards)
-			slots = e.shards
-		} else {
-			e.rateRange(0, len(e.p.Flows), 0)
+		e.stepShard(0)
+	}
+	var rateChanged, popChanged bool
+	for s := 0; s < shards; s++ {
+		res.DirtyFlows += e.dirtyFlowsSh[s]
+		rateChanged = rateChanged || e.rateChangedSh[s]
+		if e.overNode[s] > res.MaxNodeOverload {
+			res.MaxNodeOverload = e.overNode[s]
 		}
-		for s := 0; s < slots; s++ {
-			res.DirtyFlows += e.dirtyFlowsSh[s]
-			rateChanged = rateChanged || e.rateChangedSh[s]
+		res.SkippedNodes += e.skippedNodesSh[s]
+		popChanged = popChanged || e.popChangedSh[s]
+		if e.overLink[s] > res.MaxLinkOverload {
+			res.MaxLinkOverload = e.overLink[s]
 		}
-		if tel != nil {
-			now := time.Now()
-			res.StageNanos[0] = now.Sub(t0).Nanoseconds()
-			t0 = now
-		}
-
-		// 2. Greedy consumer allocation and node price update.
-		nodeSlots := 1
-		if e.pool != nil && len(e.p.Nodes) >= minParallelItems {
-			e.pool.run(e.stageFns[1], e.shards)
-			nodeSlots = e.shards
-		} else {
-			e.nodeRange(0, len(e.p.Nodes), 0)
-		}
-		for s := 0; s < nodeSlots; s++ {
-			if e.overNode[s] > res.MaxNodeOverload {
-				res.MaxNodeOverload = e.overNode[s]
-			}
-			res.SkippedNodes += e.skippedNodesSh[s]
-			popChanged = popChanged || e.popChangedSh[s]
-		}
-		if tel != nil {
-			now := time.Now()
-			res.StageNanos[1] = now.Sub(t0).Nanoseconds()
-			t0 = now
-		}
-
-		// 3. Link price update.
-		slots = 1
-		if e.pool != nil && len(e.p.Links) >= minParallelItems {
-			e.pool.run(e.stageFns[2], e.shards)
-			slots = e.shards
-		} else {
-			e.linkRange(0, len(e.p.Links), 0)
-		}
-		for s := 0; s < slots; s++ {
-			if e.overLink[s] > res.MaxLinkOverload {
-				res.MaxLinkOverload = e.overLink[s]
-			}
-			res.SkippedLinks += e.skippedLinksSh[s]
-		}
-		if tel != nil {
-			res.StageNanos[2] = time.Since(t0).Nanoseconds()
-		}
-
-		// Refresh the per-flow utility cache serially: rate-dirty flows
-		// plus the flows whose populations the admission stage touched
-		// (the fused path does this inside each shard).
-		t := e.iteration
-		if e.utilStale || e.full {
-			for i := range e.flowUtil {
-				e.flowUtilItem(i)
-			}
-		} else {
-			for i := range e.flowUtil {
-				if e.rateEpoch[i] == t {
-					e.flowUtilItem(i)
-				}
-			}
-			for s := 0; s < nodeSlots; s++ {
-				for _, i := range e.touchIDs[s] {
-					if e.flowUtilEpoch[i] != t {
-						e.flowUtilItem(int(i))
-					}
-				}
-			}
-		}
-		for s := range e.touchIDs {
-			e.touchIDs[s] = e.touchIDs[s][:0]
-		}
+		res.SkippedLinks += e.skippedLinksSh[s]
+	}
+	if tel != nil {
+		m := e.stageMarks
+		res.StageNanos[0] = m[0].Sub(t0).Nanoseconds()
+		res.StageNanos[1] = m[1].Sub(m[0]).Nanoseconds()
+		res.StageNanos[2] = time.Since(m[1]).Nanoseconds()
 	}
 
 	// The objective only moves when a rate or population moved; otherwise
@@ -522,20 +431,8 @@ func (e *Engine) rateItem(i, prev int, dirty *int, changed *bool) {
 	}
 }
 
-// rateRange runs the rate stage over flows [lo, hi), writing shard slot s
-// of the stage accumulators.
-func (e *Engine) rateRange(lo, hi, s int) {
-	prev := e.iteration - 1
-	dirty, changed := 0, false
-	for i := lo; i < hi; i++ {
-		e.rateItem(i, prev, &dirty, &changed)
-	}
-	e.dirtyFlowsSh[s] = dirty
-	e.rateChangedSh[s] = changed
-}
-
-// rateList is rateRange over an explicit flow list (the fused path's
-// component shards).
+// rateList runs the rate stage over a shard's flow list, writing shard
+// slot s of the stage accumulators.
 func (e *Engine) rateList(ids []int32, s int) {
 	prev := e.iteration - 1
 	dirty, changed := 0, false
@@ -595,49 +492,13 @@ func (e *Engine) touchFlows(s int, b model.NodeID) {
 	e.touchIDs[s] = ids
 }
 
-// nodePriceRange is the price half of the node stage over nodes [lo, hi):
-// the Equation 12 sweep as a branch-light pass over the flat
-// price/used/best/capacity arrays, returning the range's max overload.
+// nodePriceList is the price half of the node stage over a shard's node
+// list: the Equation 12 sweep as a branch-light pass over the flat
+// price/used/best/capacity arrays, returning the shard's max overload.
 // It is split from admission so the sweep reads SoA state the admission
 // pass has fully settled — admission never reads prices, so running all
 // admissions before all price updates performs the serial arithmetic
 // exactly.
-func (e *Engine) nodePriceRange(lo, hi int) float64 {
-	over := 0.0
-	t := e.iteration
-	prices, used, best, caps := e.nodePrices, e.nodeUsed, e.nodeBest, e.nodeCap
-	if e.cfg.Adaptive {
-		for b := lo; b < hi; b++ {
-			u, cp, prev := used[b], caps[b], prices[b]
-			g := e.gamma.val[b]
-			next := nodePriceUpdate(prev, best[b], u, cp, g, g)
-			e.gamma.observe(b, priceGap(prev, best[b], u, cp), prev)
-			if next != prev {
-				e.nodePriceEpoch[b] = t
-			}
-			prices[b] = next
-			if o := u - cp; o > over {
-				over = o
-			}
-		}
-		return over
-	}
-	g1, g2 := e.cfg.Gamma1, e.cfg.Gamma2
-	for b := lo; b < hi; b++ {
-		u, cp, prev := used[b], caps[b], prices[b]
-		next := nodePriceUpdate(prev, best[b], u, cp, g1, g2)
-		if next != prev {
-			e.nodePriceEpoch[b] = t
-		}
-		prices[b] = next
-		if o := u - cp; o > over {
-			over = o
-		}
-	}
-	return over
-}
-
-// nodePriceList is nodePriceRange over an explicit node list.
 func (e *Engine) nodePriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
@@ -673,20 +534,9 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 	return over
 }
 
-// nodeRange runs the node stage over nodes [lo, hi) — all admissions, then
-// the price sweep — writing shard slot s of the stage accumulators.
-func (e *Engine) nodeRange(lo, hi, s int) {
-	scratch := e.scratch[s]
-	skipped, popChanged := 0, false
-	for b := lo; b < hi; b++ {
-		e.admitItem(b, s, scratch, &skipped, &popChanged)
-	}
-	e.overNode[s] = e.nodePriceRange(lo, hi)
-	e.skippedNodesSh[s] = skipped
-	e.popChangedSh[s] = popChanged
-}
-
-// nodeList is nodeRange over an explicit node list.
+// nodeList runs the node stage over a shard's node list — all
+// admissions, then the price sweep — writing shard slot s of the stage
+// accumulators.
 func (e *Engine) nodeList(ids []int32, s int) {
 	scratch := e.scratch[s]
 	skipped, popChanged := 0, false
@@ -729,29 +579,9 @@ func (e *Engine) linkUsageItem(l int, skipped *int) {
 	e.linkUsed[l] = used
 }
 
-// linkPriceRange is the Equation 13 sweep over links [lo, hi) as a
+// linkPriceList is the Equation 13 sweep over a shard's link list as a
 // branch-light pass over the flat price/used/capacity arrays, returning
-// the range's max overload.
-func (e *Engine) linkPriceRange(lo, hi int) float64 {
-	over := 0.0
-	t := e.iteration
-	g := e.cfg.LinkGamma
-	prices, used, caps := e.linkPrices, e.linkUsed, e.linkCap
-	for l := lo; l < hi; l++ {
-		u, cp, prev := used[l], caps[l], prices[l]
-		next := linkPriceUpdate(prev, u, cp, g)
-		if next != prev {
-			e.linkPriceEpoch[l] = t
-		}
-		prices[l] = next
-		if o := u - cp; o > over {
-			over = o
-		}
-	}
-	return over
-}
-
-// linkPriceList is linkPriceRange over an explicit link list.
+// the shard's max overload.
 func (e *Engine) linkPriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
@@ -771,18 +601,9 @@ func (e *Engine) linkPriceList(ids []int32) float64 {
 	return over
 }
 
-// linkRange runs the link stage over links [lo, hi) — all usage re-sums,
-// then the price sweep — writing shard slot s of the stage accumulators.
-func (e *Engine) linkRange(lo, hi, s int) {
-	skipped := 0
-	for l := lo; l < hi; l++ {
-		e.linkUsageItem(l, &skipped)
-	}
-	e.overLink[s] = e.linkPriceRange(lo, hi)
-	e.skippedLinksSh[s] = skipped
-}
-
-// linkList is linkRange over an explicit link list.
+// linkList runs the link stage over a shard's link list — all usage
+// re-sums, then the price sweep — writing shard slot s of the stage
+// accumulators.
 func (e *Engine) linkList(ids []int32, s int) {
 	skipped := 0
 	for _, l := range ids {
@@ -792,33 +613,24 @@ func (e *Engine) linkList(ids []int32, s int) {
 	e.skippedLinksSh[s] = skipped
 }
 
-// rateShard, nodeShard and linkShard execute one contiguous shard of their
-// stage; shard boundaries are fixed by the item count and shard count, so
-// every shard touches a disjoint index range.
-func (e *Engine) rateShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Flows), s)
-	e.rateRange(lo, hi, s)
-}
-
-func (e *Engine) nodeShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Nodes), s)
-	e.nodeRange(lo, hi, s)
-}
-
-func (e *Engine) linkShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Links), s)
-	e.linkRange(lo, hi, s)
-}
-
-// fusedShard runs the whole iteration for shard s of the stage plan: the
+// stepShard runs the whole iteration for shard s of the stage plan: the
 // shard's flows, nodes and links are unions of connected components, so
 // every value a stage reads was either written by this same goroutine
 // earlier in the call (rates before admissions before link sums, exactly
 // the serial order) or is untouched this iteration by anyone else. The
 // trailing flow-utility refresh likewise touches only this shard's flows.
-func (e *Engine) fusedShard(s int) {
+// Shard 0 runs on Step's goroutine and, with telemetry on, marks the end
+// of its rate and node stages for StageNanos.
+func (e *Engine) stepShard(s int) {
+	timed := s == 0 && e.cfg.Telemetry != nil
 	e.rateList(e.plan.flows[s], s)
+	if timed {
+		e.stageMarks[0] = time.Now()
+	}
 	e.nodeList(e.plan.nodes[s], s)
+	if timed {
+		e.stageMarks[1] = time.Now()
+	}
 	e.linkList(e.plan.links[s], s)
 
 	t := e.iteration
@@ -1033,7 +845,6 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	}
 	if e.shards > 1 {
 		e.plan = newStagePlan(p, e.ix, e.shards)
-		e.fused = e.plan.fused
 	}
 	if e.cfg.Adaptive {
 		// Re-routing changes the load composition on every node a dirty

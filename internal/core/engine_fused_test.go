@@ -13,7 +13,7 @@ import (
 // problem componentized, Step runs all three stages under one barrier —
 // and must still be bit-identical to the serial engine, mutations and all.
 // The Random workloads of engine_parallel_test.go are one connected
-// component (classes attach anywhere), so they pin the unfused fallback;
+// component (classes attach anywhere), so they pin the one-shard plan;
 // the Scaled workloads here replicate the base problem into independent
 // copies, which is exactly the structure the fused path exists for.
 
@@ -51,7 +51,7 @@ func TestFusedStepBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			if !par.fused {
+			if par.plan.shards != workers {
 				t.Fatalf("trial %d workers %d: expected fused engine (%d components)",
 					trial, workers, par.plan.components)
 			}
@@ -111,7 +111,7 @@ func TestFusedResetKeepsBitIdentity(t *testing.T) {
 	}
 	defer ser.Close()
 	defer par.Close()
-	if !par.fused {
+	if par.plan.shards != 4 {
 		t.Fatal("expected fused engine")
 	}
 	for it := 0; it < 50; it++ {
@@ -138,27 +138,37 @@ func TestFusedResetKeepsBitIdentity(t *testing.T) {
 }
 
 // TestStagePlanFallsBackOnEntangledTopology: a single-component problem
-// must not fuse — every shard would need every other shard's writes.
+// must not fuse — every shard would need every other shard's writes — so
+// a Workers=4 engine runs the one-shard plan inline and stays
+// bit-identical to the serial engine.
 func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := parallelTestProblem(rng, true)
-	e, err := NewEngine(p, Config{Workers: 4})
+	e, err := NewEngine(p.Clone(), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.pool == nil {
-		t.Fatal("expected sharded engine")
-	}
-	if e.fused {
-		t.Fatal("random single-component workload unexpectedly fused")
+	if e.plan.shards != 1 {
+		t.Fatalf("random single-component workload runs %d shards, want 1", e.plan.shards)
 	}
 	if e.plan.components >= 4 {
 		t.Fatalf("expected < 4 components, got %d", e.plan.components)
 	}
-	if s := e.Snapshot(); s.Fused {
-		t.Error("snapshot reports Fused for unfused engine")
+	if s := e.Snapshot(); s.Shards != 1 || s.Workers != 4 {
+		t.Errorf("snapshot reports Shards=%d Workers=%d, want 1/4", s.Shards, s.Workers)
 	}
+	ser, err := NewEngine(p.Clone(), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ser.Close()
+	for it := 0; it < 60; it++ {
+		if rs, rp := ser.Step(), e.Step(); rs != rp {
+			t.Fatalf("iter %d: StepResult %+v, serial %+v", it, rp, rs)
+		}
+	}
+	assertStateEqual(t, 60, 4, ser, e)
 }
 
 // TestStagePlanPartition: the plan must place every flow, node and link in
@@ -168,7 +178,7 @@ func TestStagePlanPartition(t *testing.T) {
 	p := fusedTestProblem(16, 1, true)
 	ix := model.NewIndex(p)
 	plan := newStagePlan(p, ix, 4)
-	if !plan.fused {
+	if plan.shards != 4 {
 		t.Fatalf("expected fused plan, components=%d", plan.components)
 	}
 	if plan.components != 16 {
@@ -211,7 +221,7 @@ func TestStepFusedNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.fused {
+	if e.plan.shards != 4 {
 		t.Fatal("expected fused engine")
 	}
 	e.Step()

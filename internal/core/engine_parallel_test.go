@@ -189,8 +189,8 @@ func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 	if e.pool != nil {
 		t.Error("base workload unexpectedly sharded")
 	}
-	if s := e.Snapshot(); s.Sharded || s.Workers != 8 {
-		t.Errorf("snapshot reports Sharded=%v Workers=%d, want false/8", s.Sharded, s.Workers)
+	if s := e.Snapshot(); s.Shards != 1 || s.Workers != 8 {
+		t.Errorf("snapshot reports Shards=%d Workers=%d, want 1/8", s.Shards, s.Workers)
 	}
 }
 
@@ -235,16 +235,15 @@ func TestStepSerialNoAllocs(t *testing.T) {
 }
 
 // TestStepParallelNoAllocs: dispatching shards over the persistent pool
-// must not allocate either — tasks, stage closures and scratch are all
+// must not allocate either — tasks, the shard closure and scratch are all
 // reused across Steps.
 func TestStepParallelNoAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	e, err := NewEngine(parallelTestProblem(rng, true), Config{Workers: 4, Adaptive: true})
+	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Workers: 4, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.pool == nil {
+	if e.plan.shards <= 1 {
 		t.Fatal("expected sharded engine")
 	}
 	e.Step()

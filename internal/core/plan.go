@@ -6,38 +6,38 @@ import (
 	"repro/internal/model"
 )
 
-// Stage-fusion planning (DESIGN.md §5). The three Step stages barrier
-// because, in general, a node's admission reads rates of flows solved by
-// another shard and a flow's next rate reads prices of nodes updated by
-// another shard. But that data flow is confined to the connected components
-// of the flow/node/link incidence graph: a node only ever reads flows that
+// Stage planning (DESIGN.md §5). Step's stages read each other's outputs:
+// a node's admission reads the rates of the flows crossing it, and a
+// flow's next rate reads the prices of the nodes and links on its path.
+// Split naively across shards, every stage would need a barrier before
+// the next. But that data flow is confined to the connected components of
+// the flow/node/link incidence graph: a node only ever reads flows that
 // reach it, a link only flows that traverse it, and a flow only nodes and
 // links on its own path. When shards are unions of whole components, every
 // cross-stage read stays inside the shard, so one worker can run
 // rate-solve → admission → price update for its components back to back —
-// one barrier per Step instead of three — and still perform exactly the
-// serial arithmetic on exactly the serial values.
+// one barrier per Step — and still perform exactly the serial arithmetic
+// on exactly the serial values. A problem that does not split that way
+// runs as one shard on the caller's goroutine.
 //
-// The analysis runs once per NewEngine/Reset topology (Reset keeps the
-// topology, so the plan survives it) over the index's dense membership
-// views; it never consults costs or capacities, which may change.
+// The analysis runs at NewEngine and again on ResetRouting, which changes
+// the topology (Reset keeps it, so the plan survives Reset), over the
+// index's dense membership views; it never consults costs or capacities,
+// which may change.
 
-// stagePlan is the result of the crossing-writes analysis: a fixed
-// assignment of whole components to shards, or the verdict that the fused
-// path does not apply (fused == false) and Step should fall back to the
-// three-barrier contiguous sharding.
+// stagePlan is Step's schedule: a fixed assignment of flows, nodes and
+// links to shards. Either every shard is a union of whole components (the
+// fused plan, run over the worker pool with one barrier per Step) or there
+// is one shard listing every flow, node and link (run inline on the
+// caller's goroutine) — the verdict for single-worker engines and for
+// problems the analysis cannot split evenly.
 type stagePlan struct {
-	// fused reports whether the single-barrier fused path applies: at
-	// least as many components as shards (so every worker gets whole
-	// components without idling) and an assignment balanced within 2x of
-	// the mean shard weight.
-	fused bool
-	// components is the number of connected components found (informational;
-	// set even when fused is false).
+	// components is the number of connected components found
+	// (informational; zero when the analysis did not run).
 	components int
-	// shards is the fan-out of the fused path; flows/nodes/links are
-	// indexed by shard, each list ascending so per-shard iteration order
-	// matches the serial scan order.
+	// shards is the plan's fan-out; flows/nodes/links are indexed by
+	// shard, each list ascending so per-shard iteration order matches the
+	// serial scan order.
 	shards int
 	flows  [][]int32
 	nodes  [][]int32
@@ -60,15 +60,16 @@ func planWeight(ix *model.Index, flows, nodes, links int, v int) int {
 }
 
 // newStagePlan runs the crossing-writes analysis for p under the given
-// shard count. Deterministic: union-find roots, component order and the
-// greedy assignment depend only on the topology, never on scheduling or
-// map iteration.
+// shard count, returning the one-shard plan when shards <= 1 or when the
+// problem does not split into at least shards components balanced within
+// 2x of the mean shard weight. Deterministic: union-find roots, component
+// order and the greedy assignment depend only on the topology, never on
+// scheduling or map iteration.
 func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 	nf, nn, nl := len(p.Flows), len(p.Nodes), len(p.Links)
 	total := nf + nn + nl
-	plan := &stagePlan{}
 	if shards <= 1 || total == 0 {
-		return plan
+		return inlinePlan(nf, nn, nl, 0)
 	}
 
 	// Union-find over flows [0,nf), nodes [nf,nf+nn), links [nf+nn,total).
@@ -125,9 +126,8 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 		}
 		comps[compOf[v]].weight += planWeight(ix, nf, nn, nl, v)
 	}
-	plan.components = len(comps)
 	if len(comps) < shards {
-		return plan
+		return inlinePlan(nf, nn, nl, len(comps))
 	}
 
 	// Longest-processing-time assignment: heaviest component first into the
@@ -165,17 +165,19 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 		}
 	}
 	// A shard more than 2x the mean would serialize the whole fused Step
-	// behind it; the three-barrier path splits such lopsided problems
-	// contiguously instead.
+	// behind it while the other workers idle; such lopsided problems run
+	// inline instead.
 	if maxWeight*shards > 2*totalWeight {
-		return plan
+		return inlinePlan(nf, nn, nl, len(comps))
 	}
 
-	plan.fused = true
-	plan.shards = shards
-	plan.flows = make([][]int32, shards)
-	plan.nodes = make([][]int32, shards)
-	plan.links = make([][]int32, shards)
+	plan := &stagePlan{
+		components: len(comps),
+		shards:     shards,
+		flows:      make([][]int32, shards),
+		nodes:      make([][]int32, shards),
+		links:      make([][]int32, shards),
+	}
 	counts := make([]int, shards)
 	fill := func(lists [][]int32, base, n int) {
 		for s := range counts {
@@ -196,4 +198,18 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 	fill(plan.nodes, nf, nn)
 	fill(plan.links, nf+nn, nl)
 	return plan
+}
+
+// inlinePlan is the one-shard plan: every flow, node and link in ascending
+// order, so the shard runs exactly the serial scan.
+func inlinePlan(nf, nn, nl, components int) *stagePlan {
+	all := func(n int) [][]int32 {
+		ids := make([]int32, n)
+		for v := range ids {
+			ids[v] = int32(v)
+		}
+		return [][]int32{ids}
+	}
+	return &stagePlan{components: components, shards: 1,
+		flows: all(nf), nodes: all(nn), links: all(nl)}
 }

@@ -2,14 +2,14 @@ package core
 
 import "sync"
 
-// workerPool is the engine's persistent shard-execution pool. The three
-// LRGP stages are embarrassingly parallel within themselves (rates are
-// per-flow, admissions per-node, prices per-link), so each stage fans out
-// over fixed contiguous shards and barriers before the next stage starts.
+// workerPool is the engine's persistent shard-execution pool. A fused
+// stage plan splits the problem into whole components, so each shard runs
+// a complete Step over its own flows, nodes and links and the shards meet
+// at one barrier per Step.
 //
-// The pool parks workers goroutines on a task channel between stages;
+// The pool parks workers goroutines on a task channel between Steps;
 // run executes shard 0 on the calling goroutine so a pool serving W-way
-// sharding needs only W-1 workers. Tasks carry the stage function by
+// sharding needs only W-1 workers. Tasks carry the shard function by
 // value, so idle workers hold no reference to the Engine and an abandoned
 // engine's finalizer can still fire and shut the pool down.
 type workerPool struct {

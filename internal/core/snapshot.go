@@ -28,20 +28,19 @@ type Snapshot struct {
 	LinkCapacity []float64
 	// FlowActive marks flows participating in iterations.
 	FlowActive []bool
-	// Workers is the engine's normalized worker count and Sharded reports
-	// whether Step actually fans out over the pool (large-enough problem
-	// and Workers > 1); results are identical either way, so these matter
-	// only for performance diagnostics. Fused reports that the crossing-
-	// writes analysis proved the problem componentized and Step runs the
-	// single-barrier fused schedule (DESIGN.md §5).
+	// Workers is the engine's normalized worker count and Shards the
+	// number of shards its stage plan runs (DESIGN.md §5): 1 means Step
+	// runs inline on the caller's goroutine, more means the crossing-
+	// writes analysis split the problem into whole components fanned out
+	// over the pool. Results are identical either way, so these matter
+	// only for performance diagnostics.
 	Workers int
-	Sharded bool
-	Fused   bool
+	Shards  int
 }
 
 // String renders a one-line summary of the snapshot: iteration, utility,
-// peak node and link load, and the execution mode (worker count, whether
-// Step is sharded over the pool).
+// peak node and link load, and the execution mode (worker count and the
+// stage plan's shard count).
 func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iter=%d utility=%.1f", s.Iteration, s.Utility)
@@ -51,14 +50,7 @@ func (s Snapshot) String() string {
 	if load, ok := peakLoad(s.LinkUsage, s.LinkCapacity); ok {
 		fmt.Fprintf(&b, " peak-link-load=%.1f%%", 100*load)
 	}
-	mode := "serial"
-	switch {
-	case s.Fused:
-		mode = "fused"
-	case s.Sharded:
-		mode = "sharded"
-	}
-	fmt.Fprintf(&b, " workers=%d (%s)", s.Workers, mode)
+	fmt.Fprintf(&b, " workers=%d shards=%d", s.Workers, s.Shards)
 	return b.String()
 }
 
@@ -92,8 +84,7 @@ func (e *Engine) Snapshot() Snapshot {
 		LinkCapacity: make([]float64, len(e.p.Links)),
 		FlowActive:   make([]bool, len(e.p.Flows)),
 		Workers:      e.cfg.Workers,
-		Sharded:      e.pool != nil,
-		Fused:        e.fused,
+		Shards:       e.plan.shards,
 	}
 	copy(s.FlowActive, e.active)
 

@@ -54,7 +54,7 @@ func TestSnapshot(t *testing.T) {
 }
 
 // TestSnapshotString checks the one-line summary: iteration, utility,
-// peak loads, and the workers/sharded execution mode.
+// peak loads, and the workers/shards execution mode.
 func TestSnapshotString(t *testing.T) {
 	p := workload.WithLinkBottlenecks(workload.Base(), 0.5)
 	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
@@ -65,14 +65,14 @@ func TestSnapshotString(t *testing.T) {
 	e.Solve(50)
 
 	got := e.Snapshot().String()
-	for _, want := range []string{"iter=50", "utility=", "peak-node-load=", "peak-link-load=", "workers=1 (serial)"} {
+	for _, want := range []string{"iter=50", "utility=", "peak-node-load=", "peak-link-load=", "workers=1 shards=1"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q, missing %q", got, want)
 		}
 	}
 
-	sharded := Snapshot{Iteration: 3, Utility: 12.5, Workers: 8, Sharded: true}
-	if s := sharded.String(); !strings.Contains(s, "workers=8 (sharded)") {
+	sharded := Snapshot{Iteration: 3, Utility: 12.5, Workers: 8, Shards: 8}
+	if s := sharded.String(); !strings.Contains(s, "workers=8 shards=8") {
 		t.Errorf("sharded String() = %q", s)
 	}
 	// No usable capacities → no load terms rather than NaN/Inf noise.

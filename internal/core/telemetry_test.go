@@ -10,16 +10,28 @@ import (
 
 // TestStepTelemetryObservations: with Config.Telemetry set, Step must
 // populate StageNanos and mirror its results into the registry; the
-// parallel engine must report the same counters as the serial one.
+// parallel engine must report the same counters as the serial one. The
+// sharded case (componentized problem, Workers=4) must also split its
+// wall time across all three stages.
 func TestStepTelemetryObservations(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, tc := range []struct {
+		workers int
+		sharded bool
+	}{{1, false}, {4, false}, {4, true}} {
+		workers := tc.workers
 		reg := telemetry.NewRegistry()
 		em := telemetry.NewEngineMetrics(reg)
 		rng := rand.New(rand.NewSource(5))
 		p := parallelTestProblem(rng, true)
+		if tc.sharded {
+			p = fusedTestProblem(8, 2, true)
+		}
 		e, err := NewEngine(p, Config{Adaptive: true, Workers: workers, Telemetry: em})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.sharded && e.plan.shards <= 1 {
+			t.Fatal("expected sharded engine")
 		}
 		const steps = 7
 		var last StepResult
@@ -50,8 +62,9 @@ func TestStepTelemetryObservations(t *testing.T) {
 			if count != steps {
 				t.Errorf("workers=%d: stage %d histogram count = %d, want %d", workers, s, count, steps)
 			}
-			if sum < 0 {
-				t.Errorf("workers=%d: stage %d wall time sum = %g", workers, s, sum)
+			if sum < 0 || (tc.sharded && sum <= 0) {
+				t.Errorf("workers=%d sharded=%v: stage %d wall time sum = %g",
+					workers, tc.sharded, s, sum)
 			}
 		}
 		// StageNanos must be populated (a monotonic-clock stage can
@@ -119,14 +132,13 @@ func TestStepTelemetryNoAllocs(t *testing.T) {
 		t.Errorf("%v allocs per telemetered serial Step, want 0", allocs)
 	}
 
-	rng := rand.New(rand.NewSource(8))
-	par, err := NewEngine(parallelTestProblem(rng, true), Config{Adaptive: true, Workers: 4,
+	par, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, Workers: 4,
 		Telemetry: telemetry.NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	if par.pool == nil {
+	if par.plan.shards <= 1 {
 		t.Fatal("expected sharded engine")
 	}
 	par.Step()

@@ -14,9 +14,9 @@ import (
 type ScalingRow struct {
 	// Workers is the engine's configured worker count.
 	Workers int
-	// Mode reports how Step executed: "serial", "sharded" (three-barrier
-	// stages) or "fused" (single-barrier componentized schedule).
-	Mode string
+	// Shards is the engine's stage-plan shard count: 1 when Step ran
+	// inline, Workers when it ran whole components over the pool.
+	Shards int
 	// NsPerStep is the mean steady-state Step wall time.
 	NsPerStep float64
 	// Speedup is the workers=1 NsPerStep divided by this row's.
@@ -76,17 +76,9 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 			e.Step()
 		}
 		elapsed := time.Since(start)
-		s := e.Snapshot()
-		mode := "serial"
-		switch {
-		case s.Fused:
-			mode = "fused"
-		case s.Sharded:
-			mode = "sharded"
-		}
 		row := ScalingRow{
 			Workers:   workers,
-			Mode:      mode,
+			Shards:    e.Snapshot().Shards,
 			NsPerStep: float64(elapsed.Nanoseconds()) / float64(res.Measured),
 			Speedup:   1,
 		}
@@ -104,11 +96,11 @@ func RenderScaling(res *ScalingResult) *trace.Table {
 	t := trace.NewTable(
 		fmt.Sprintf("X9: Step scaling vs workers (%s: %d flows, %d nodes, %d classes; %d steps after %d settling)",
 			res.Workload, res.Flows, res.Nodes, res.Classes, res.Measured, res.Settle),
-		"Workers", "Mode", "ns/step", "Speedup")
+		"Workers", "Shards", "ns/step", "Speedup")
 	for _, r := range res.Rows {
 		t.Add(
 			fmt.Sprint(r.Workers),
-			r.Mode,
+			fmt.Sprint(r.Shards),
 			fmt.Sprintf("%.0f", r.NsPerStep),
 			fmt.Sprintf("%.2fx", r.Speedup),
 		)
