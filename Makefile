@@ -63,10 +63,12 @@ bench-dist:
 # (kill + restore cycle, allocation-bounded), the full warm path per
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
 # baseline it is judged against, all on the 10k-node pod topology, plus
-# one restore on X11's 10k-node random overlay. -count=5 keeps five
-# samples per benchmark so the record shows run-to-run spread.
+# one restore and one link-churn event (fail or restore, ResetRouting,
+# warm re-solve capped at 100 iterations) on X11's 10k-node random
+# overlay. -count=5 keeps five samples per benchmark so the record shows
+# run-to-run spread.
 bench-overlay:
-	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|RouterRestoreX11' -benchmem -count=5 \
+	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|RouterRestoreX11|LinkChurnEventX11' -benchmem -count=5 \
 		./internal/overlay/ ./internal/experiments/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json
 

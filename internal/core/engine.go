@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -63,10 +65,30 @@ type Engine struct {
 	pool   *workerPool
 	shards int
 	// plan is Step's schedule (see stagePlan): one shard run inline, or
-	// whole components fanned out over the pool. Fixed at NewEngine —
-	// Reset preserves topology — and rebuilt only by ResetRouting, which
-	// changes it.
+	// whole components fanned out over the pool, over every flow and the
+	// live nodes and links. Fixed at NewEngine — Reset preserves topology —
+	// and rebuilt only by ResetRouting, which changes it.
 	plan *stagePlan
+	// Parked constraints (DESIGN.md §9). nodeLive/linkLive mark the nodes
+	// and links the plan lists; liveNodes/liveLinks are those sets,
+	// ascending. Every other node or link is parked: no flow crosses it,
+	// its price is exactly +0 and (when adaptive) its gamma is GammaMax, so
+	// a recompute would reproduce every value it holds and Step never
+	// visits it. Only NewEngine and ResetRouting change the sets; with
+	// Config.FullRecompute nothing is parked. flowIDs lists every flow.
+	nodeLive  []bool
+	linkLive  []bool
+	liveNodes []int32
+	liveLinks []int32
+	flowIDs   []int32
+	// parkedStale makes the next Step count every parked constraint as
+	// recomputed, as a full sweep's forced first iteration would after
+	// NewEngine or a reset; parkedForced lists the parked nodes that
+	// SetNodeCapacity forced since the last Step (a parked node's
+	// nodeForced flag marks membership). Both exist only to keep
+	// StepResult's skip counters equal to a sweep over every constraint.
+	parkedStale  bool
+	parkedForced []int32
 	// closed is set by Close; stepping a closed engine panics
 	// deterministically instead of racing the pool shutdown.
 	closed bool
@@ -159,9 +181,9 @@ type StepResult struct {
 	StageNanos [3]int64
 	// DirtyFlows counts flows whose rate problem was re-solved this
 	// iteration; SkippedNodes and SkippedLinks count constraints that
-	// reused their cached admission/usage instead of recomputing.
-	// Deterministic for any worker count. With Config.FullRecompute every
-	// flow is dirty and nothing is skipped.
+	// reused their cached admission/usage instead of recomputing, parked
+	// ones included. Deterministic for any worker count. With
+	// Config.FullRecompute every flow is dirty and nothing is skipped.
 	DirtyFlows   int
 	SkippedNodes int
 	SkippedLinks int
@@ -203,6 +225,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		linkPrices: make([]float64, len(p.Links)),
 		nodeCap:    make([]float64, len(p.Nodes)),
 		linkCap:    make([]float64, len(p.Links)),
+		nodeLive:   make([]bool, len(p.Nodes)),
+		linkLive:   make([]bool, len(p.Links)),
+		flowIDs:    iota32(len(p.Flows)),
 		gamma:      newGammaBank(c, len(p.Nodes)),
 		solvers:    make([]*rateSolver, len(p.Flows)),
 		shards:     shards,
@@ -256,14 +281,21 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	for b := range e.nodePrices {
 		e.nodePrices[b] = c.InitialNodePrice
 		e.nodeCap[b] = p.Nodes[b].Capacity
-		e.nodeForced[b] = true
+		if !e.nodeParked(b) {
+			e.nodeLive[b], e.nodeForced[b] = true, true
+			e.liveNodes = append(e.liveNodes, int32(b))
+		}
 	}
 	for l := range e.linkPrices {
 		e.linkPrices[l] = c.InitialLinkPrice
 		e.linkCap[l] = p.Links[l].Capacity
-		e.linkForced[l] = true
+		if !e.linkParked(l) {
+			e.linkLive[l], e.linkForced[l] = true, true
+			e.liveLinks = append(e.liveLinks, int32(l))
+		}
 	}
-	e.plan = newStagePlan(p, ix, shards)
+	e.parkedStale = true
+	e.plan = newStagePlan(ix, e.flowIDs, e.liveNodes, e.liveLinks, shards)
 	e.shardFn = e.stepShard
 	if shards > 1 {
 		e.pool = newWorkerPool(shards - 1)
@@ -311,8 +343,10 @@ func (e *Engine) Close() {
 // its usage under the same rule. Everything else reuses the previous
 // iteration's values verbatim, so results are bit-identical to a full
 // recompute (Config.FullRecompute; see DESIGN.md §9 for the invariants).
-// The O(1) price updates and adaptive-gamma observations always run —
-// they move every iteration until the exact fixpoint.
+// The O(1) price updates and adaptive-gamma observations run on every
+// live constraint — they move every iteration until the exact fixpoint.
+// Parked constraints, already at that fixpoint with no flow to perturb
+// them, are not visited at all.
 func (e *Engine) Step() StepResult {
 	if e.closed {
 		panic("core: Engine.Step called after Close")
@@ -348,6 +382,15 @@ func (e *Engine) Step() StepResult {
 		}
 		res.SkippedLinks += e.skippedLinksSh[s]
 	}
+	if !e.parkedStale {
+		res.SkippedNodes += len(e.nodeLive) - len(e.liveNodes) - len(e.parkedForced)
+		res.SkippedLinks += len(e.linkLive) - len(e.liveLinks)
+	}
+	e.parkedStale = false
+	for _, b := range e.parkedForced {
+		e.nodeForced[b] = false
+	}
+	e.parkedForced = e.parkedForced[:0]
 	if tel != nil {
 		m := e.stageMarks
 		res.StageNanos[0] = m[0].Sub(t0).Nanoseconds()
@@ -790,7 +833,15 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	e.nodeCap[b] = capacity
 	// The admission budget changed; the cached used/bestUnsatisfied are
 	// stale. (The price sweep reads the capacity mirror each iteration.)
-	e.nodeForced[b] = true
+	// A parked node stays at its fixpoint under any positive capacity; it
+	// is only counted as recomputed next Step, as a full sweep would.
+	switch {
+	case e.nodeLive[b]:
+		e.nodeForced[b] = true
+	case !e.parkedStale && !e.nodeForced[b]:
+		e.nodeForced[b] = true
+		e.parkedForced = append(e.parkedForced, int32(b))
+	}
 	return nil
 }
 
@@ -828,11 +879,13 @@ func (e *Engine) Reset(p *model.Problem) error {
 // but dirty elements named by d may have gained or lost (resource, flow)
 // cost entries — the shape Refresh rejects. The index is re-targeted
 // incrementally (model.Index.RefreshRouting, cost proportional to the
-// delta) and, unlike Reset, the stage plan is rebuilt: routing defines
-// which flows share resources, so the crossing-writes analysis fixed at
-// NewEngine no longer holds. Warm state carries over exactly as in Reset.
-// On an index error the engine still runs the old problem; plan rebuild
-// happens only after the index committed.
+// delta) and, unlike Reset, the live sets and the stage plan are rebuilt:
+// routing defines which flows share resources and which constraints carry
+// any, so the crossing-writes analysis fixed at NewEngine no longer holds.
+// Both rebuilds cost O(live + delta), not O(nodes + links). Warm state
+// carries over exactly as in Reset. On an index error the engine still
+// runs the old problem; the rebuilds happen only after the index
+// committed.
 func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if e.closed {
 		panic("core: Engine.ResetRouting called after Close")
@@ -842,9 +895,6 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	}
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if e.shards > 1 {
-		e.plan = newStagePlan(p, e.ix, e.shards)
 	}
 	if e.cfg.Adaptive {
 		// Re-routing changes the load composition on every node a dirty
@@ -864,8 +914,68 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 			}
 		}
 	}
+	e.liveNodes = relive(e.liveNodes, d.Nodes, e.nodeLive, e.nodeParked, func(b int) {
+		e.nodeUsed[b], e.nodeBest[b] = 0, 0
+	})
+	e.liveLinks = relive(e.liveLinks, d.Links, e.linkLive, e.linkParked, func(l int) {
+		e.linkUsed[l] = 0
+	})
+	e.plan = newStagePlan(e.ix, e.flowIDs, e.liveNodes, e.liveLinks, e.shards)
 	e.warmRestart(p)
 	return nil
+}
+
+// nodeParked reports whether node b may be parked: it is at the exact
+// fixpoint of an unloaded node. With no flow or class at b, admission
+// yields used = bestUnsatisfied = +0; Equation 12 maps a +0 price to +0
+// (used <= capacity, capacity > 0), and a zero gap adds GammaStep to a
+// gamma at GammaMax, which the clamp returns to GammaMax without touching
+// the controller's other state. The overload 0 - capacity is negative, so
+// the node never sets the max. (A -0 price would step to +0, so only +0
+// counts.)
+func (e *Engine) nodeParked(b int) bool {
+	bid := model.NodeID(b)
+	return !e.full && len(e.ix.FlowsByNode(bid)) == 0 && len(e.ix.ClassesByNode(bid)) == 0 &&
+		math.Float64bits(e.nodePrices[b]) == 0 &&
+		(!e.cfg.Adaptive || e.gamma.val[b] == e.gamma.max)
+}
+
+// linkParked reports whether link l may be parked: no flow traverses it,
+// so its usage is +0, and its price is +0, which Equation 13 maps to +0
+// (0 + gamma*(0 - capacity) < 0 projects to 0) with a negative overload.
+func (e *Engine) linkParked(l int) bool {
+	return !e.full && len(e.ix.FlowsByLink(model.LinkID(l))) == 0 &&
+		math.Float64bits(e.linkPrices[l]) == 0
+}
+
+// relive returns the ascending live list after a routing change: the old
+// list plus the delta's elements, less those that may be parked now, with
+// live updated to match and zero called on each newly parked element to
+// clear its usage caches (a recompute would produce exactly +0). No other
+// element can change status: a parked element outside the delta still
+// carries no flow, and nothing has moved its price or gamma — Step never
+// visits it, and ResetRouting reseeds gamma only at delta nodes and at
+// nodes a dirty flow crosses, which are loaded.
+func relive[T ~int](old []int32, delta []T, live []bool, parked func(int) bool, zero func(int)) []int32 {
+	next := make([]int32, 0, len(old)+len(delta))
+	next = append(next, old...)
+	for _, v := range delta {
+		if !live[v] {
+			live[v] = true
+			next = append(next, int32(v))
+		}
+	}
+	kept := next[:0]
+	for _, v := range next {
+		if parked(int(v)) {
+			live[v] = false
+			zero(int(v))
+			continue
+		}
+		kept = append(kept, v)
+	}
+	slices.Sort(kept)
+	return kept
 }
 
 // warmRestart is the shared tail of Reset and ResetRouting: re-targets
@@ -901,18 +1011,22 @@ func (e *Engine) warmRestart(p *model.Problem) {
 		e.flowUtilEpoch[i] = 0
 	}
 	for b := range e.nodeForced {
-		e.nodeForced[b] = true
+		e.nodeForced[b] = e.nodeLive[b]
 		e.nodePriceEpoch[b] = 0
 		e.nodeCap[b] = p.Nodes[b].Capacity
 	}
 	for l := range e.linkForced {
-		e.linkForced[l] = true
+		e.linkForced[l] = e.linkLive[l]
 		e.linkPriceEpoch[l] = 0
 		e.linkCap[l] = p.Links[l].Capacity
 	}
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
 	}
+	// Parked constraints keep their fixpoint values; the next Step counts
+	// them as recomputed, like every forced constraint.
+	e.parkedStale = true
+	e.parkedForced = e.parkedForced[:0]
 	for s := range e.touchSeen {
 		seen := e.touchSeen[s]
 		for i := range seen {

@@ -177,7 +177,7 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 func TestStagePlanPartition(t *testing.T) {
 	p := fusedTestProblem(16, 1, true)
 	ix := model.NewIndex(p)
-	plan := newStagePlan(p, ix, 4)
+	plan := newStagePlan(ix, iota32(len(p.Flows)), iota32(len(p.Nodes)), iota32(len(p.Links)), 4)
 	if plan.shards != 4 {
 		t.Fatalf("expected fused plan, components=%d", plan.components)
 	}
@@ -207,25 +207,50 @@ func TestStagePlanPartition(t *testing.T) {
 	check("node", plan.nodes, len(p.Nodes))
 	check("link", plan.links, len(p.Links))
 
-	again := newStagePlan(p, model.NewIndex(p), 4)
+	again := newStagePlan(model.NewIndex(p), iota32(len(p.Flows)), iota32(len(p.Nodes)), iota32(len(p.Links)), 4)
 	if !reflect.DeepEqual(plan, again) {
 		t.Error("plan not deterministic across rebuilds")
 	}
 }
 
+// withIdleResources returns p plus n nodes and n links that no flow
+// crosses, which the engine parks (n >= 2).
+func withIdleResources(p *model.Problem, n int) *model.Problem {
+	q := p.Clone()
+	base := len(q.Nodes)
+	for k := 0; k < n; k++ {
+		q.Nodes = append(q.Nodes, model.Node{ID: model.NodeID(base + k), Capacity: workload.NodeCapacity})
+	}
+	for k := 0; k < n; k++ {
+		q.Links = append(q.Links, model.Link{ID: model.LinkID(len(q.Links)),
+			From: model.NodeID(base + k), To: model.NodeID(base + (k+1)%n), Capacity: 1e6})
+	}
+	return q
+}
+
 // TestStepFusedNoAllocs: the fused dispatch reuses the pool, the plan
-// lists and the touch buffers, so steady-state Step stays at 0 allocs/op.
+// lists and the touch buffers, so steady-state Step stays at 0 allocs/op,
+// with or without parked constraints.
 func TestStepFusedNoAllocs(t *testing.T) {
-	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Workers: 4, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.plan.shards != 4 {
-		t.Fatal("expected fused engine")
-	}
-	e.Step()
-	if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
-		t.Errorf("%v allocs per fused Step, want 0", allocs)
+	for _, idle := range []int{0, 64} {
+		p := fusedTestProblem(8, 2, true)
+		if idle > 0 {
+			p = withIdleResources(p, idle)
+		}
+		e, err := NewEngine(p, Config{Workers: 4, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if e.plan.shards != 4 {
+			t.Fatal("expected fused engine")
+		}
+		if nodes, links := e.Parked(); nodes != idle || links != idle {
+			t.Fatalf("%d nodes and %d links parked, want %d each", nodes, links, idle)
+		}
+		e.Step()
+		if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
+			t.Errorf("idle %d: %v allocs per fused Step, want 0", idle, allocs)
+		}
 	}
 }

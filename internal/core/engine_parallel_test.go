@@ -236,18 +236,37 @@ func TestStepSerialNoAllocs(t *testing.T) {
 
 // TestStepParallelNoAllocs: dispatching shards over the persistent pool
 // must not allocate either — tasks, the shard closure and scratch are all
-// reused across Steps.
+// reused across Steps, and parked constraints are simply absent from the
+// plan, including after a SetNodeCapacity on one of them.
 func TestStepParallelNoAllocs(t *testing.T) {
-	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Workers: 4, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.plan.shards <= 1 {
-		t.Fatal("expected sharded engine")
-	}
-	e.Step()
-	if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
-		t.Errorf("%v allocs per parallel Step, want 0", allocs)
+	for _, idle := range []int{0, 64} {
+		p := fusedTestProblem(8, 2, true)
+		if idle > 0 {
+			p = withIdleResources(p, idle)
+		}
+		e, err := NewEngine(p, Config{Workers: 4, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if e.plan.shards <= 1 {
+			t.Fatal("expected sharded engine")
+		}
+		e.Step()
+		if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
+			t.Errorf("idle %d: %v allocs per parallel Step, want 0", idle, allocs)
+		}
+		if idle > 0 {
+			b := model.NodeID(len(p.Nodes) - 1)
+			if !e.NodeParked(b) {
+				t.Fatalf("idle node %d is live", b)
+			}
+			if err := e.SetNodeCapacity(b, 2*workload.NodeCapacity); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
+				t.Errorf("%v allocs per parallel Step after a parked capacity change, want 0", allocs)
+			}
+		}
 	}
 }

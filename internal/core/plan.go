@@ -20,17 +20,22 @@ import (
 // on exactly the serial values. A problem that does not split that way
 // runs as one shard on the caller's goroutine.
 //
+// The plan covers only live constraints (DESIGN.md §9): a node or link
+// that no flow crosses and that sits at its exact price fixpoint is parked
+// — no stage would change anything it holds — so it is in no shard list
+// and adds no vertex to the analysis. Flows are always listed.
+//
 // The analysis runs at NewEngine and again on ResetRouting, which changes
-// the topology (Reset keeps it, so the plan survives Reset), over the
-// index's dense membership views; it never consults costs or capacities,
-// which may change.
+// the topology and the live sets (Reset keeps both, so the plan survives
+// Reset), over the index's dense membership views; it never consults
+// costs or capacities, which may change.
 
-// stagePlan is Step's schedule: a fixed assignment of flows, nodes and
-// links to shards. Either every shard is a union of whole components (the
-// fused plan, run over the worker pool with one barrier per Step) or there
-// is one shard listing every flow, node and link (run inline on the
-// caller's goroutine) — the verdict for single-worker engines and for
-// problems the analysis cannot split evenly.
+// stagePlan is Step's schedule: a fixed assignment of flows and live
+// nodes and links to shards. Either every shard is a union of whole
+// components (the fused plan, run over the worker pool with one barrier
+// per Step) or there is one shard listing every flow and every live node
+// and link (run inline on the caller's goroutine) — the verdict for
+// single-worker engines and for problems the analysis cannot split evenly.
 type stagePlan struct {
 	// components is the number of connected components found
 	// (informational; zero when the analysis did not run).
@@ -44,38 +49,26 @@ type stagePlan struct {
 	links  [][]int32
 }
 
-// planWeight estimates one vertex's per-iteration work for balancing:
-// classes dominate both the rate solve (per-flow class scan) and the
-// admission sort (per-node class scan), so flows and nodes count their
-// attached classes on top of themselves.
-func planWeight(ix *model.Index, flows, nodes, links int, v int) int {
-	switch {
-	case v < flows:
-		return 1 + len(ix.ClassesByFlow(model.FlowID(v)))
-	case v < flows+nodes:
-		return 1 + len(ix.ClassesByNode(model.NodeID(v-flows)))
-	default:
-		return 1
-	}
-}
-
-// newStagePlan runs the crossing-writes analysis for p under the given
-// shard count, returning the one-shard plan when shards <= 1 or when the
-// problem does not split into at least shards components balanced within
-// 2x of the mean shard weight. Deterministic: union-find roots, component
-// order and the greedy assignment depend only on the topology, never on
-// scheduling or map iteration.
-func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
-	nf, nn, nl := len(p.Flows), len(p.Nodes), len(p.Links)
+// newStagePlan runs the crossing-writes analysis under the given shard
+// count. flows lists every flow (vertex i is flow i); nodes and links are
+// the ascending live lists. It returns the one-shard plan over those lists
+// when shards <= 1 or when the problem does not split into at least shards
+// components balanced within 2x of the mean shard weight. Deterministic:
+// union-find roots, component order and the greedy assignment depend only
+// on the topology and the live lists, never on scheduling or map
+// iteration. Its cost is linear in the live items and their memberships.
+func newStagePlan(ix *model.Index, flows, nodes, links []int32, shards int) *stagePlan {
+	nf, nn, nl := len(flows), len(nodes), len(links)
 	total := nf + nn + nl
 	if shards <= 1 || total == 0 {
-		return inlinePlan(nf, nn, nl, 0)
+		return inlinePlan(flows, nodes, links, 0)
 	}
 
-	// Union-find over flows [0,nf), nodes [nf,nf+nn), links [nf+nn,total).
-	// Union-by-minimum keeps every root the smallest vertex of its
-	// component, which both orders components deterministically and lets
-	// the collection pass below recognize roots on first visit.
+	// Union-find over flows [0,nf), live nodes [nf,nf+nn) and live links
+	// [nf+nn,total), by list position. Union-by-minimum keeps every root
+	// the smallest vertex of its component, which both orders components
+	// deterministically and lets the collection pass below recognize roots
+	// on first visit.
 	parent := make([]int32, total)
 	for v := range parent {
 		parent[v] = int32(v)
@@ -96,20 +89,24 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 			parent[ra] = rb
 		}
 	}
-	for b := 0; b < nn; b++ {
+	for k, b := range nodes {
 		for _, i := range ix.FlowsByNode(model.NodeID(b)) {
-			union(int32(i), int32(nf+b))
+			union(int32(i), int32(nf+k))
 		}
 	}
-	for l := 0; l < nl; l++ {
+	for k, l := range links {
 		for _, i := range ix.FlowsByLink(model.LinkID(l)) {
-			union(int32(i), int32(nf+nn+l))
+			union(int32(i), int32(nf+nn+k))
 		}
 	}
 	// Classes add no edges: a class's node is required (model.Validate) to
 	// carry the class's flow, so that flow-node pair is already united.
 
-	// Collect components in root order with their balancing weights.
+	// Collect components in root order with their balancing weights. A
+	// vertex's weight estimates its per-iteration work: classes dominate
+	// both the rate solve (per-flow class scan) and the admission sort
+	// (per-node class scan), so flows and nodes count their attached
+	// classes on top of themselves.
 	type component struct {
 		root   int32
 		weight int
@@ -124,10 +121,17 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 		} else {
 			compOf[v] = compOf[r]
 		}
-		comps[compOf[v]].weight += planWeight(ix, nf, nn, nl, v)
+		w := 1
+		switch {
+		case v < nf:
+			w += len(ix.ClassesByFlow(model.FlowID(v)))
+		case v < nf+nn:
+			w += len(ix.ClassesByNode(model.NodeID(nodes[v-nf])))
+		}
+		comps[compOf[v]].weight += w
 	}
 	if len(comps) < shards {
-		return inlinePlan(nf, nn, nl, len(comps))
+		return inlinePlan(flows, nodes, links, len(comps))
 	}
 
 	// Longest-processing-time assignment: heaviest component first into the
@@ -168,7 +172,7 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 	// behind it while the other workers idle; such lopsided problems run
 	// inline instead.
 	if maxWeight*shards > 2*totalWeight {
-		return inlinePlan(nf, nn, nl, len(comps))
+		return inlinePlan(flows, nodes, links, len(comps))
 	}
 
 	plan := &stagePlan{
@@ -179,37 +183,40 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 		links:      make([][]int32, shards),
 	}
 	counts := make([]int, shards)
-	fill := func(lists [][]int32, base, n int) {
+	fill := func(lists [][]int32, base int, ids []int32) {
 		for s := range counts {
 			counts[s] = 0
 		}
-		for v := 0; v < n; v++ {
-			counts[shardOf[compOf[base+v]]]++
+		for k := range ids {
+			counts[shardOf[compOf[base+k]]]++
 		}
 		for s := 0; s < shards; s++ {
 			lists[s] = make([]int32, 0, counts[s])
 		}
-		for v := 0; v < n; v++ {
-			s := shardOf[compOf[base+v]]
-			lists[s] = append(lists[s], int32(v))
+		for k, v := range ids {
+			s := shardOf[compOf[base+k]]
+			lists[s] = append(lists[s], v)
 		}
 	}
-	fill(plan.flows, 0, nf)
-	fill(plan.nodes, nf, nn)
-	fill(plan.links, nf+nn, nl)
+	fill(plan.flows, 0, flows)
+	fill(plan.nodes, nf, nodes)
+	fill(plan.links, nf+nn, links)
 	return plan
 }
 
-// inlinePlan is the one-shard plan: every flow, node and link in ascending
-// order, so the shard runs exactly the serial scan.
-func inlinePlan(nf, nn, nl, components int) *stagePlan {
-	all := func(n int) [][]int32 {
-		ids := make([]int32, n)
-		for v := range ids {
-			ids[v] = int32(v)
-		}
-		return [][]int32{ids}
-	}
+// inlinePlan is the one-shard plan over the given ascending lists, so the
+// shard runs exactly the serial scan of every flow and live constraint.
+// The plan shares the lists.
+func inlinePlan(flows, nodes, links []int32, components int) *stagePlan {
 	return &stagePlan{components: components, shards: 1,
-		flows: all(nf), nodes: all(nn), links: all(nl)}
+		flows: [][]int32{flows}, nodes: [][]int32{nodes}, links: [][]int32{links}}
+}
+
+// iota32 returns 0, 1, ..., n-1.
+func iota32(n int) []int32 {
+	ids := make([]int32, n)
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	return ids
 }

@@ -114,16 +114,32 @@ func TestRestoreWorkGateX11(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterRestoreX11 times one restore on X11's seed-1 10k-node
-// instance, cycling through 16 loaded links and 16 relay nodes; the
-// failure that precedes each restore runs with the timer stopped.
-func BenchmarkRouterRestoreX11(b *testing.B) {
-	r, _, anchored, rng := x11Router(b)
-	type elem struct {
-		node bool
-		id   int
+// churnElem is a failable overlay element: a relay node or a link.
+type churnElem struct {
+	node bool
+	id   int
+}
+
+// apply fails (heal false) or restores e through r.
+func (e churnElem) apply(r *overlay.Router, heal bool) (overlay.RepairStats, error) {
+	switch {
+	case e.node && heal:
+		return r.RestoreNode(model.NodeID(e.id))
+	case e.node:
+		return r.RepairNode(model.NodeID(e.id))
+	case heal:
+		return r.RestoreLink(e.id)
+	default:
+		return r.RepairLink(e.id)
 	}
-	var elems []elem
+}
+
+// x11ChurnElems routes X11's seed-1 instance and picks 32 survivable
+// failures on it, alternating loaded links and relay nodes, healing each
+// again, so a benchmark can replay them as fail/restore pairs.
+func x11ChurnElems(tb testing.TB) (*overlay.Router, []churnElem) {
+	r, _, anchored, rng := x11Router(tb)
+	var elems []churnElem
 	for k := 0; k < 32; k++ {
 		kind := "link"
 		if k%2 == 1 {
@@ -131,37 +147,34 @@ func BenchmarkRouterRestoreX11(b *testing.B) {
 		}
 		_, id, err := churnEvent(r, rng, kind, false, -1, anchored)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, _, err := churnEvent(r, rng, kind, true, id, anchored); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		elems = append(elems, elem{node: kind == "node", id: id})
+		elems = append(elems, churnElem{node: kind == "node", id: id})
 	}
 	r.TakeDelta()
+	return r, elems
+}
+
+// BenchmarkRouterRestoreX11 times one restore on X11's seed-1 10k-node
+// instance, cycling through 16 loaded links and 16 relay nodes; the
+// failure that precedes each restore runs with the timer stopped.
+func BenchmarkRouterRestoreX11(b *testing.B) {
+	r, elems := x11ChurnElems(b)
 	bfs, affected := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := elems[i%len(elems)]
 		b.StopTimer()
-		var err error
-		if e.node {
-			_, err = r.RepairNode(model.NodeID(e.id))
-		} else {
-			_, err = r.RepairLink(e.id)
-		}
-		if err != nil {
+		if _, err := e.apply(r, false); err != nil {
 			b.Fatal(err)
 		}
 		r.TakeDelta()
 		b.StartTimer()
-		var st overlay.RepairStats
-		if e.node {
-			st, err = r.RestoreNode(model.NodeID(e.id))
-		} else {
-			st, err = r.RestoreLink(e.id)
-		}
+		st, err := e.apply(r, true)
 		if err != nil {
 			b.Fatal(err)
 		}
